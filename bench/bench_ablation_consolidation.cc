@@ -1,7 +1,8 @@
 // Ablation (DESIGN.md §5): plan consolidation / shared scans (§4.2,
-// Algorithm 1). Runs a multi-rule workload twice: DetectAll (one shared
-// base scan; rules with identical Scope/Block parameters reuse one blocked
-// intermediate) vs one Detect call per rule (each pays its own scan).
+// Algorithm 1). Runs a multi-rule workload twice: one multi-rule Detect
+// (one shared base scan; rules with identical Scope/Block parameters reuse
+// one blocked intermediate) vs one Detect call per rule (each pays its own
+// scan).
 // The second rule pair shares both Scope and Block parameters, the case
 // Figure 5 consolidates.
 #include <cstdio>
@@ -67,7 +68,7 @@ void Run() {
 
   ResultTable table(
       "Ablation: plan consolidation (shared scans) on TaxA, 3 rules",
-      {"rows", "consolidated DetectAll (s)", "separate Detect calls (s)",
+      {"rows", "consolidated Detect (s)", "separate Detect calls (s)",
        "saving"});
   char saving[16];
   std::snprintf(saving, sizeof(saving), "%.1f%%",

@@ -1,6 +1,6 @@
 // Ablation (extension beyond the paper): incremental re-detection.
 // After a repair pass changed k rows, the next detection pass only needs
-// the violations touching those rows (RuleEngine::DetectIncremental).
+// the violations touching those rows (DetectRequest::changed_rows).
 // The saving scales with the cost of Detect: this bench uses a similarity
 // DC (Levenshtein on name within zipcode blocks), where skipping untouched
 // blocks skips real work. The loop-level integration (CleanOptions::

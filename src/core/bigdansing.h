@@ -34,7 +34,7 @@ struct CleanOptions {
   /// immutable) so oscillating repairs terminate.
   size_t freeze_after_updates = 3;
   /// From the second iteration on, only re-detect violations involving
-  /// rows the previous repair changed (RuleEngine::DetectIncremental). A
+  /// rows the previous repair changed (DetectRequest::changed_rows). A
   /// full detection pass still verifies convergence before the loop ends,
   /// so the result is identical — later iterations are just cheaper.
   bool incremental_redetection = false;

@@ -47,7 +47,7 @@ inline Row ScopeProject(const Row& row,
   return out;
 }
 
-/// Per-DetectAll caches for the kernel path, keyed in base-column space so
+/// Per-request caches for the kernel path (one multi-rule Detect call), keyed in base-column space so
 /// rules with different scopes still share work: encoded column sets keyed
 /// by pool-sharing group, and grouped RowRef blocks keyed by the blocking
 /// columns.

@@ -323,50 +323,6 @@ Result<DetectionResult> RuleEngine::Detect(const Table& table,
   return std::move((*results)[0]);
 }
 
-Result<std::vector<DetectionResult>> RuleEngine::DetectAll(
-    const Table& table, const std::vector<RulePtr>& rules) const {
-  DetectRequest request;
-  request.table = &table;
-  request.rules = rules;
-  return Detect(request);
-}
-
-Result<DetectionResult> RuleEngine::DetectAcross(
-    const Table& left, const Table& right,
-    const std::shared_ptr<DcRule>& rule) const {
-  DetectRequest request;
-  request.table = &left;
-  request.right = &right;
-  request.rules = {rule};
-  auto results = Detect(request);
-  if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
-}
-
-Result<DetectionResult> RuleEngine::DetectIncremental(
-    const Table& table, const RulePtr& rule,
-    const std::unordered_set<RowId>& changed_rows) const {
-  DetectRequest request;
-  request.table = &table;
-  request.rules = {rule};
-  request.changed_rows = &changed_rows;
-  auto results = Detect(request);
-  if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
-}
-
-Result<DetectionResult> RuleEngine::DetectWithStorage(
-    const StorageManager& storage, const std::string& name,
-    const RulePtr& rule) const {
-  DetectRequest request;
-  request.storage = &storage;
-  request.dataset = name;
-  request.rules = {rule};
-  auto results = Detect(request);
-  if (!results.ok()) return results.status();
-  return std::move((*results)[0]);
-}
-
 Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
     const Table& table, const std::vector<RulePtr>& rules) const {
   std::vector<DetectionResult> results(rules.size());
@@ -644,14 +600,19 @@ Result<DetectionResult> RuleEngine::DetectIncrementalImpl(
   }
 
   // Unblocked (incl. OCJoin rules): pair every changed row against the
-  // whole dataset in both orientations — O(|changed| * n) probes, which is
-  // the win when few rows changed.
+  // whole dataset — O(|changed| * n) probes, which is the win when few rows
+  // changed. Symmetric rules under UCrossProduct are probed once per pair,
+  // earlier table row first, exactly as the full pass probes them; all
+  // others in both orientations.
+  const bool unordered = plan->strategy == IterateStrategy::kUCrossProduct &&
+                         plan->rule->IsSymmetric();
   std::vector<Row> rows = scoped.Collect();
-  std::vector<Row> changed;
-  for (const Row& row : rows) {
-    if (changed_rows.count(row.id()) > 0) changed.push_back(row);
+  std::vector<size_t> changed;  // Positions in `rows`.
+  for (size_t pos = 0; pos < rows.size(); ++pos) {
+    if (changed_rows.count(rows[pos].id()) > 0) changed.push_back(pos);
   }
-  Dataset<Row> changed_ds = Dataset<Row>::FromVector(ctx_, std::move(changed));
+  Dataset<size_t> changed_ds =
+      Dataset<size_t>::FromVector(ctx_, std::move(changed));
   const auto& parts = changed_ds.partitions();
   std::vector<TaskOutput> tasks = changed_ds.RunStageMorsels<TaskOutput>(
       "iterate|detect:incremental",
@@ -659,13 +620,23 @@ Result<DetectionResult> RuleEngine::DetectIncrementalImpl(
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
         TaskOutput out;
         for (size_t i = begin; i < end; ++i) {
-          const Row& c = parts[p][i];
-          for (const Row& r : rows) {
-            if (r.id() == c.id()) continue;
+          const size_t cpos = parts[p][i];
+          const Row& c = rows[cpos];
+          for (size_t rpos = 0; rpos < rows.size(); ++rpos) {
+            const Row& r = rows[rpos];
+            if (rpos == cpos) continue;
             // Each unordered pair {c, r} is owned by exactly one loop
             // iteration: by c when r is unchanged, else by the smaller id —
             // so both-changed pairs are not probed twice.
             if (changed_rows.count(r.id()) > 0 && r.id() < c.id()) continue;
+            if (unordered) {
+              if (cpos < rpos) {
+                Probe(*plan->rule, c, r, &out);
+              } else {
+                Probe(*plan->rule, r, c, &out);
+              }
+              continue;
+            }
             Probe(*plan->rule, c, r, &out);
             Probe(*plan->rule, r, c, &out);
           }

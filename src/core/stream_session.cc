@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <optional>
 
 #include "common/hash.h"
-#include "common/lineage.h"
-#include "common/logging.h"
 #include "common/metrics_registry.h"
 #include "common/stopwatch.h"
 #include "core/columnar_detect.h"
 #include "core/rule_engine.h"
-#include "obs/quality.h"
-#include "repair/strategy.h"
 
 namespace bigdansing {
 
@@ -35,18 +30,6 @@ std::atomic<uint64_t>& NameCounter() {
   static std::atomic<uint64_t> counter{0};
   return counter;
 }
-
-/// Closes the quality run of one window on every exit path (mirrors the
-/// QualityRunGuard of Clean()).
-struct WindowQualityGuard {
-  uint64_t run_id = 0;
-  const bool* converged = nullptr;
-  ~WindowQualityGuard() {
-    if (run_id != 0) {
-      QualityRecorder::Instance().EndRun(run_id, *converged);
-    }
-  }
-};
 
 }  // namespace
 
@@ -77,9 +60,6 @@ Status StreamSession::Init() {
   if (opts_.batch_rows == 0) opts_.batch_rows = StreamOptions::DefaultBatchRows();
   if (opts_.max_inflight_batches == 0) {
     opts_.max_inflight_batches = StreamOptions::DefaultMaxInflight();
-  }
-  if (opts_.max_window_iterations == 0) {
-    opts_.max_window_iterations = opts_.clean.max_iterations;
   }
   name_ = opts_.session_name.empty()
               ? "stream-" + std::to_string(NameCounter().fetch_add(1) + 1)
@@ -314,31 +294,6 @@ void StreamSession::IndexRemove(RowId id) {
   }
 }
 
-void StreamSession::Rekey(const Row& row) {
-  for (auto& ri : indexes_) {
-    if (!ri.blocked) continue;
-    uint64_t new_key = 0;
-    const bool has_new = KeyOf(ri, row, &new_key);
-    auto it = ri.row_key.find(row.id());
-    const bool has_old = it != ri.row_key.end();
-    if (has_old && has_new && it->second == new_key) continue;
-    if (has_old) {
-      auto block = ri.blocks.find(it->second);
-      if (block != ri.blocks.end()) {
-        block->second.erase(row.id());
-        if (block->second.empty()) ri.blocks.erase(block);
-      }
-      ri.dirty.insert(it->second);
-      ri.row_key.erase(it);
-    }
-    if (has_new) {
-      ri.blocks[new_key].insert(row.id());
-      ri.row_key[row.id()] = new_key;
-      ri.dirty.insert(new_key);
-    }
-  }
-}
-
 Status StreamSession::Append(std::vector<Row> rows) {
   if (closed_) return Status::InvalidArgument("stream session is closed");
   const size_t width = table_->schema().num_attributes();
@@ -500,7 +455,7 @@ bool StreamSession::BlockMayViolate(RuleIndex* ri,
   return false;
 }
 
-Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
+Table StreamSession::BuildCandidateTable(RuleIndex* ri) {
   EnsureKernelBound(ri);
   std::vector<size_t> positions;
   std::vector<size_t> block_positions;
@@ -524,104 +479,86 @@ Table StreamSession::BuildCandidateTable(RuleIndex* ri, size_t* candidates) {
   std::sort(positions.begin(), positions.end());
   positions.erase(std::unique(positions.begin(), positions.end()),
                   positions.end());
-  *candidates = positions.size();
   Table sub(table_->schema());
   for (size_t pos : positions) sub.AppendRowWithId(table_->row(pos));
   return sub;
 }
 
-size_t StreamSession::ApplyWindowAssignments(
-    const std::vector<CellAssignment>& assignments,
-    const std::vector<FixProvenance>& provenance, size_t iteration,
-    const std::vector<ViolationWithFixes>& violations,
-    QualityIterationSample* sample) {
-  LineageRecorder& lineage = LineageRecorder::Instance();
-  const bool lineage_on = lineage.enabled();
-  const Schema& schema = table_->schema();
-  auto column_name = [&schema](size_t col) {
-    return col < schema.num_attributes() ? schema.attribute(col)
-                                         : std::string();
-  };
-
-  std::unordered_set<uint64_t> resolved;
+void StreamSession::Reindex(const std::vector<CellRef>& cells) {
   std::unordered_set<RowId> touched;
-  size_t changed = 0;
-  for (size_t i = 0; i < assignments.size(); ++i) {
-    const auto& a = assignments[i];
-    if (frozen_.count(a.cell) > 0) continue;
-    auto pos = row_pos_.find(a.cell.row_id);
-    if (pos == row_pos_.end()) continue;  // retracted under the repair
-    Row& row = table_->mutable_row(pos->second);
-    if (a.cell.column >= row.size()) continue;
-    if (row.value(a.cell.column) == a.value) continue;
-    if (lineage_on) {
-      LineageEntry entry;
-      entry.row_id = a.cell.row_id;
-      entry.column = a.cell.column;
-      entry.attribute = column_name(a.cell.column);
-      entry.old_value = row.value(a.cell.column);
-      entry.new_value = a.value;
-      entry.iteration = iteration;
-      if (i < provenance.size()) {
-        entry.rule = provenance[i].rule;
-        entry.violation_id = provenance[i].violation_id;
-        entry.strategy = provenance[i].strategy;
-        entry.component = provenance[i].component;
-      }
-      lineage.RecordFix(std::move(entry));
-    }
-    if (i < provenance.size()) resolved.insert(provenance[i].violation_id);
-    if (sample != nullptr) {
-      const std::string rule =
-          i < provenance.size() ? provenance[i].rule : std::string();
-      ++sample->fixes[rule][column_name(a.cell.column)];
-    }
-    row.set_value(a.cell.column, a.value);
-    ++changed;
-    if (col_slot_.count(a.cell.column) > 0) touched.insert(a.cell.row_id);
+  for (const CellRef& cell : cells) {
+    if (col_slot_.count(cell.column) > 0) touched.insert(cell.row_id);
   }
-
+  if (touched.empty()) return;
   // Repaired values may be new to the pools (rule constants); grow once for
-  // the whole pass, then move the touched rows between blocks.
-  if (!touched.empty()) {
-    std::vector<const Row*> rows;
-    rows.reserve(touched.size());
-    for (RowId id : touched) rows.push_back(&table_->row(row_pos_.at(id)));
-    GrowPools(rows);
-    for (const Row* row : rows) {
-      EncodeRow(*row);
-      Rekey(*row);
-    }
+  // the whole pass, then move the touched rows between blocks (old and new
+  // block both dirty).
+  std::vector<const Row*> rows;
+  rows.reserve(touched.size());
+  for (RowId id : touched) rows.push_back(&table_->row(row_pos_.at(id)));
+  GrowPools(rows);
+  for (const Row* row : rows) {
+    EncodeRow(*row);
+    IndexRemove(row->id());
+    IndexInsert(*row);
   }
-
-  // Unresolved survivors, attributed as Clean() attributes them.
-  const bool quality_on = sample != nullptr;
-  if (lineage_on || quality_on) {
-    for (uint64_t vid = 0; vid < violations.size(); ++vid) {
-      if (resolved.count(vid) > 0) continue;
-      if (lineage_on) {
-        lineage.RecordUnresolved(violations[vid].violation.rule_name, vid,
-                                 iteration);
-      }
-      if (quality_on) {
-        ++sample->unresolved[violations[vid].violation.rule_name][column_name(
-            violations[vid].fixes.front().left.ref.column)];
-      }
-      ++stats_.unresolved_violations;
-    }
-  }
-  return changed;
 }
 
+class StreamSession::DirtyBlockSource : public DetectionSource {
+ public:
+  DirtyBlockSource(StreamSession* session, StreamWindowReport* rep)
+      : s_(*session),
+        rep_(rep),
+        engine_(session->ctx(), session->opts_.clean.planner) {}
+
+  Result<std::vector<DetectionResult>> Detect(
+      size_t, const std::unordered_set<RowId>& changed) override {
+    // The changed rows re-verify in their current blocks: on the first
+    // pass the window's seed rows, later the last repair's rows (Reindex
+    // already dirtied the blocks rows moved between).
+    for (RuleIndex& ri : s_.indexes_) {
+      if (!ri.blocked) continue;
+      for (RowId id : changed) {
+        auto key = ri.row_key.find(id);
+        if (key != ri.row_key.end()) ri.dirty.insert(key->second);
+      }
+    }
+    std::vector<DetectionResult> out(s_.rules_.size());
+    for (size_t r = 0; r < s_.rules_.size(); ++r) {
+      RuleIndex& ri = s_.indexes_[r];
+      DetectRequest req;
+      req.rules = {s_.rules_[r]};
+      Table sub(s_.table_->schema());
+      if (ri.blocked) {
+        if (ri.dirty.empty()) continue;
+        rep_->dirty_blocks += ri.dirty.size();
+        sub = s_.BuildCandidateTable(&ri);
+        ri.dirty.clear();
+        rep_->candidate_rows += sub.num_rows();
+        if (sub.num_rows() < 2) continue;
+        req.table = &sub;
+      } else {
+        if (changed.empty()) continue;
+        req.table = s_.table_;
+        req.changed_rows = &changed;
+      }
+      auto res = engine_.Detect(req);
+      if (!res.ok()) return res.status();
+      out[r] = std::move(res->front());
+    }
+    return out;
+  }
+
+ private:
+  StreamSession& s_;
+  StreamWindowReport* rep_;
+  RuleEngine engine_;
+};
+
 Result<StreamWindowReport> StreamSession::ProcessWindow() {
+  Stopwatch window_timer;
   StreamWindowReport rep;
   rep.window_id = ++window_seq_;
-  Stopwatch window_timer;
-
-  std::optional<ScopedFaultPolicy> scoped_policy;
-  if (opts_.clean.fault_policy.has_value()) {
-    scoped_policy.emplace(ctx(), *opts_.clean.fault_policy);
-  }
 
   // Land the oldest micro-batch: append, encode against the session pools,
   // join the violation index (marking the joined blocks dirty).
@@ -649,176 +586,64 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
     }
   }
 
+  DirtyBlockSource source(this, &rep);
+  BIGDANSING_RETURN_NOT_OK(RunWindow(&source, &rep, window_timer));
+  return rep;
+}
+
+Status StreamSession::RunWindow(DetectionSource* source,
+                                StreamWindowReport* rep,
+                                const Stopwatch& window_timer) {
+  FixPointSetup setup;
+  setup.job = "stream:window";
+  setup.session = name_;
+  setup.freeze = &freeze_;
+  setup.find_row = [this](RowId id) -> Row* {
+    auto pos = row_pos_.find(id);  // Absent: retracted under the repair.
+    return pos == row_pos_.end() ? nullptr : &table_->mutable_row(pos->second);
+  };
+  setup.after_apply = [this](const std::vector<CellRef>& cells) {
+    Reindex(cells);
+  };
   std::unordered_set<RowId> changed = std::move(pending_changed_);
   pending_changed_.clear();
+  auto run = FixPointDriver(ctx(), table_, rules_, opts_.clean,
+                            std::move(setup))
+                 .Run(source, &changed);
+  if (!run.ok()) return run.status();
 
-  RuleEngine engine(ctx(), opts_.clean.planner);
-  const RepairStrategy& repair_strategy =
-      RepairStrategyFor(opts_.clean.repair_mode);
-  QualityRecorder& quality = QualityRecorder::Instance();
-  const bool quality_on = quality.enabled();
-  const uint64_t quality_run =
-      quality_on ? quality.BeginRun(rules_.size(), table_->num_rows(), name_)
-                 : 0;
-  WindowQualityGuard quality_guard{quality_run, &rep.converged};
-  auto oscillating_cells = [this]() {
-    uint64_t n = 0;
-    for (const auto& [cell, count] : update_counts_) {
-      if (count >= 2) ++n;
-    }
-    return n;
-  };
-  const Schema& schema = table_->schema();
-  auto column_name = [&schema](size_t col) {
-    return col < schema.num_attributes() ? schema.attribute(col)
-                                         : std::string();
-  };
-
-  try {
-    for (size_t iter = 0; iter < opts_.max_window_iterations; ++iter) {
-      rep.iterations = iter + 1;
-      QualityIterationSample sample;
-      sample.iteration = iter + 1;
-
-      // Detect over only what this window touched: dirty blocks through the
-      // index for blocked rules, the engine's incremental changed-rows path
-      // for the rest.
-      Stopwatch detect_timer;
-      std::vector<ViolationWithFixes> pooled;
-      for (size_t r = 0; r < rules_.size(); ++r) {
-        RuleIndex& ri = indexes_[r];
-        std::vector<ViolationWithFixes> found;
-        if (ri.blocked) {
-          if (ri.dirty.empty()) continue;
-          rep.dirty_blocks += ri.dirty.size();
-          size_t candidates = 0;
-          Table sub = BuildCandidateTable(&ri, &candidates);
-          ri.dirty.clear();
-          rep.candidate_rows += candidates;
-          if (sub.num_rows() < 2) continue;
-          DetectRequest req;
-          req.table = &sub;
-          req.rules = {rules_[r]};
-          auto res = engine.Detect(req);
-          if (!res.ok()) return res.status();
-          found = std::move((*res)[0].violations);
-        } else {
-          if (changed.empty()) continue;
-          DetectRequest req;
-          req.table = table_;
-          req.rules = {rules_[r]};
-          req.changed_rows = &changed;
-          auto res = engine.Detect(req);
-          if (!res.ok()) return res.status();
-          found = std::move((*res)[0].violations);
-        }
-        // Pool across rules, dropping violations whose fixes only touch
-        // frozen cells (same termination contract as Clean()).
-        for (auto& vf : found) {
-          bool repairable = false;
-          for (const auto& f : vf.fixes) {
-            if (frozen_.count(f.left.ref) == 0) {
-              repairable = true;
-              break;
-            }
-          }
-          if (repairable && !vf.fixes.empty()) {
-            if (quality_on) {
-              ++sample.violations[vf.violation.rule_name]
-                                 [column_name(vf.fixes.front().left.ref.column)];
-            }
-            pooled.push_back(std::move(vf));
-          }
-        }
-      }
-      rep.detect_seconds += detect_timer.ElapsedSeconds();
-      rep.violations += pooled.size();
-      stats_.violations_found += pooled.size();
-
-      if (pooled.empty()) {
-        rep.converged = true;
-        if (quality_on) {
-          sample.frozen_cells = frozen_.size();
-          sample.oscillating_cells = oscillating_cells();
-          quality.RecordIteration(quality_run, sample);
-        }
-        break;
-      }
-
-      Stopwatch repair_timer;
-      auto pass = repair_strategy.Repair(ctx(), pooled, opts_.clean.repair);
-      if (!pass.ok()) return pass.status();
-      const size_t applied = ApplyWindowAssignments(
-          pass->applied, pass->provenance, iter + 1, pooled,
-          quality_on ? &sample : nullptr);
-      rep.repair_seconds += repair_timer.ElapsedSeconds();
-      rep.applied_fixes += applied;
-      stats_.fixes_applied += applied;
-
-      if (applied == 0) {
-        // Nothing applicable: the surviving violations have no possible
-        // fixes, so re-detecting their blocks would spin forever.
-        rep.converged = true;
-        if (quality_on) {
-          sample.frozen_cells = frozen_.size();
-          sample.oscillating_cells = oscillating_cells();
-          quality.RecordIteration(quality_run, sample);
-        }
-        break;
-      }
-
-      // Next iteration re-verifies only what this repair touched: Clean()'s
-      // freeze bookkeeping over every proposed assignment, the touched
-      // rows' blocks re-marked dirty (Rekey already dirtied moved rows).
-      changed.clear();
-      for (const auto& a : pass->applied) {
-        changed.insert(a.cell.row_id);
-        if (++update_counts_[a.cell] >= opts_.clean.freeze_after_updates) {
-          frozen_.insert(a.cell);
-        }
-      }
-      for (RowId id : changed) {
-        for (auto& ri : indexes_) {
-          if (!ri.blocked) continue;
-          auto key = ri.row_key.find(id);
-          if (key != ri.row_key.end()) ri.dirty.insert(key->second);
-        }
-      }
-
-      if (quality_on) {
-        sample.frozen_cells = frozen_.size();
-        sample.oscillating_cells = oscillating_cells();
-        quality.RecordIteration(quality_run, sample);
-      }
-    }
-  } catch (const StageError& e) {
-    return e.status();
+  const CleanReport& report = run->report;
+  rep->iterations = report.num_iterations();
+  rep->converged = report.converged;
+  rep->detect_seconds = report.total_detect_seconds;
+  rep->repair_seconds = report.total_repair_seconds;
+  for (const auto& it : report.iterations) {
+    rep->violations += it.violations;
+    rep->applied_fixes += it.applied_fixes;
   }
-
-  if (!rep.converged) {
+  if (rep->converged) {
+    // A fix point leaves no dirt behind.
+    for (auto& ri : indexes_) ri.dirty.clear();
+    pending_changed_.clear();
+    ++stats_.windows_converged;
+  } else {
     // Iteration cap: carry the residual dirt into the next window so the
     // fix-point resumes instead of silently dropping it.
-    for (RowId id : changed) pending_changed_.insert(id);
-    for (RowId id : changed) {
-      for (auto& ri : indexes_) {
-        if (!ri.blocked) continue;
-        auto key = ri.row_key.find(id);
-        if (key != ri.row_key.end()) ri.dirty.insert(key->second);
-      }
-    }
-  } else {
-    ++stats_.windows_converged;
+    pending_changed_.insert(changed.begin(), changed.end());
   }
 
   const double window_seconds = window_timer.ElapsedSeconds();
+  stats_.violations_found += rep->violations;
+  stats_.fixes_applied += rep->applied_fixes;
+  stats_.unresolved_violations += run->unresolved;
   stats_.last_window_seconds = window_seconds;
   stats_.max_window_seconds = std::max(stats_.max_window_seconds,
                                        window_seconds);
-  stats_.total_detect_seconds += rep.detect_seconds;
-  stats_.total_repair_seconds += rep.repair_seconds;
+  stats_.total_detect_seconds += rep->detect_seconds;
+  stats_.total_repair_seconds += rep->repair_seconds;
   MetricsRegistry::Instance().GetCounter("stream.windows_processed").Add(1);
   PushStats();
-  return rep;
+  return Status::OK();
 }
 
 Result<StreamWindowReport> StreamSession::Poll() {
@@ -831,142 +656,35 @@ Result<StreamWindowReport> StreamSession::Poll() {
   return ProcessWindow();
 }
 
-Status StreamSession::RunVerifyWindows(StreamFlushReport* out) {
-  RuleEngine engine(ctx(), opts_.clean.planner);
-  const RepairStrategy& repair_strategy =
-      RepairStrategyFor(opts_.clean.repair_mode);
-  QualityRecorder& quality = QualityRecorder::Instance();
-  std::optional<ScopedFaultPolicy> scoped_policy;
-  if (opts_.clean.fault_policy.has_value()) {
-    scoped_policy.emplace(ctx(), *opts_.clean.fault_policy);
-  }
-  const Schema& schema = table_->schema();
-  auto column_name = [&schema](size_t col) {
-    return col < schema.num_attributes() ? schema.attribute(col)
-                                         : std::string();
-  };
-
-  for (size_t iter = 0; iter < opts_.clean.max_iterations; ++iter) {
-    StreamWindowReport rep;
-    rep.window_id = ++window_seq_;
-    rep.iterations = 1;
-    Stopwatch window_timer;
-    const bool quality_on = quality.enabled();
-    const uint64_t quality_run =
-        quality_on ? quality.BeginRun(rules_.size(), table_->num_rows(), name_)
-                   : 0;
-    WindowQualityGuard quality_guard{quality_run, &rep.converged};
-    QualityIterationSample sample;
-    sample.iteration = 1;
-
-    // Full-table verification detect: the same pass Clean() ends with, so
-    // a drained session certifies convergence against every rule at once.
-    Stopwatch detect_timer;
-    DetectRequest req;
-    req.table = table_;
-    req.rules = rules_;
-    auto detections = engine.Detect(req);
-    if (!detections.ok()) return detections.status();
-    std::vector<ViolationWithFixes> pooled;
-    for (auto& d : *detections) {
-      for (auto& vf : d.violations) {
-        bool repairable = false;
-        for (const auto& f : vf.fixes) {
-          if (frozen_.count(f.left.ref) == 0) {
-            repairable = true;
-            break;
-          }
-        }
-        if (repairable && !vf.fixes.empty()) {
-          if (quality_on) {
-            ++sample.violations[vf.violation.rule_name]
-                               [column_name(vf.fixes.front().left.ref.column)];
-          }
-          pooled.push_back(std::move(vf));
-        }
-      }
-    }
-    rep.detect_seconds = detect_timer.ElapsedSeconds();
-    rep.violations = pooled.size();
-    rep.candidate_rows = table_->num_rows();
-    stats_.violations_found += pooled.size();
-
-    if (pooled.empty()) {
-      rep.converged = true;
-      out->converged = true;
-      // The whole table verified clean: no dirt can be pending.
-      for (auto& ri : indexes_) ri.dirty.clear();
-      pending_changed_.clear();
-      ++stats_.windows_converged;
-      if (quality_on) {
-        quality.RecordIteration(quality_run, sample);
-      }
-      stats_.total_detect_seconds += rep.detect_seconds;
-      stats_.last_window_seconds = window_timer.ElapsedSeconds();
-      out->windows.push_back(rep);
-      PushStats();
-      break;
-    }
-
-    Stopwatch repair_timer;
-    auto pass = repair_strategy.Repair(ctx(), pooled, opts_.clean.repair);
-    if (!pass.ok()) return pass.status();
-    const size_t applied = ApplyWindowAssignments(
-        pass->applied, pass->provenance, 1, pooled,
-        quality_on ? &sample : nullptr);
-    rep.repair_seconds = repair_timer.ElapsedSeconds();
-    rep.applied_fixes = applied;
-    stats_.fixes_applied += applied;
-    out->total_violations += pooled.size();
-    out->total_applied_fixes += applied;
-
-    for (const auto& a : pass->applied) {
-      if (++update_counts_[a.cell] >= opts_.clean.freeze_after_updates) {
-        frozen_.insert(a.cell);
-      }
-    }
-    if (quality_on) {
-      sample.frozen_cells = frozen_.size();
-      quality.RecordIteration(quality_run, sample);
-    }
-    stats_.total_detect_seconds += rep.detect_seconds;
-    stats_.total_repair_seconds += rep.repair_seconds;
-    stats_.last_window_seconds = window_timer.ElapsedSeconds();
-    out->windows.push_back(rep);
-    PushStats();
-
-    if (applied == 0) {
-      // No possible fixes: Clean() reports this state converged.
-      out->converged = true;
-      for (auto& ri : indexes_) ri.dirty.clear();
-      pending_changed_.clear();
-      ++stats_.windows_converged;
-      break;
-    }
-  }
-  return Status::OK();
-}
-
 Result<StreamFlushReport> StreamSession::Flush() {
   if (closed_) return Status::InvalidArgument("stream session is closed");
   StreamFlushReport out;
+  auto fold = [&out](StreamWindowReport rep) {
+    out.total_violations += rep.violations;
+    out.total_applied_fixes += rep.applied_fixes;
+    out.converged = rep.converged;
+    out.windows.push_back(std::move(rep));
+  };
   // Freeze bookkeeping bounds this drain exactly as it bounds Clean():
   // every non-converged window applies at least one real change, and
   // oscillating cells freeze after freeze_after_updates rounds.
   while (HasWork()) {
     auto rep = ProcessWindow();
     if (!rep.ok()) return rep.status();
-    out.total_violations += rep->violations;
-    out.total_applied_fixes += rep->applied_fixes;
-    out.converged = rep->converged;
-    out.windows.push_back(std::move(*rep));
+    fold(std::move(*rep));
   }
-  if (opts_.verify_on_flush) {
-    out.converged = false;
-    Status st = RunVerifyWindows(&out);
-    if (!st.ok()) return st;
-  }
-  PushStats();
+
+  // Verification window: detection over the whole table — the pass Clean()
+  // ends with — so a drained session certifies convergence against every
+  // rule at once.
+  Stopwatch window_timer;
+  StreamWindowReport verify;
+  verify.window_id = ++window_seq_;
+  verify.candidate_rows = table_->num_rows();
+  TableSource source(ctx(), opts_.clean.planner, table_, rules_,
+                     /*incremental=*/false);
+  BIGDANSING_RETURN_NOT_OK(RunWindow(&source, &verify, window_timer));
+  fold(std::move(verify));
   return out;
 }
 

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "core/bigdansing.h"
+#include "core/fix_point.h"
 #include "core/physical_plan.h"
 #include "data/dictionary.h"
 #include "data/table.h"
@@ -22,14 +24,11 @@
 
 namespace bigdansing {
 
-struct QualityIterationSample;
-
 /// Options for a streaming cleanse session (BigDansing::OpenStream).
 struct StreamOptions {
-  /// Planner/repair/freeze knobs shared with the one-shot path. The
-  /// session's windowed fix-point uses clean.max_iterations as its
-  /// per-window iteration cap unless max_window_iterations overrides it,
-  /// and clean.fault_policy scopes every window's stages.
+  /// Planner/repair/freeze knobs shared with the one-shot path. Every
+  /// window is one fix-point run capped at clean.max_iterations, and
+  /// clean.fault_policy scopes every window's stages.
   CleanOptions clean;
 
   /// Rows per micro-batch; Append() splits larger row vectors. 0 inherits
@@ -47,14 +46,6 @@ struct StreamOptions {
   ///          before enqueueing anything; the caller Poll()s and retries.
   bool block_on_backpressure = true;
 
-  /// Per-window fix-point iteration cap; 0 inherits clean.max_iterations.
-  size_t max_window_iterations = 0;
-
-  /// When true (default), Flush() ends with full-table verification
-  /// windows, so a drained session converges to the same fix-point
-  /// contract as one-shot Clean(). Disable for latency-only measurements.
-  bool verify_on_flush = true;
-
   /// Observability namespace (the /streams record name, the /stages
   /// context label, the /quality run session). Empty -> "stream-<id>".
   std::string session_name;
@@ -65,12 +56,11 @@ struct StreamOptions {
   static size_t DefaultMaxInflight();
 };
 
-/// Outcome of one processed window (one Poll(), or one verification pass
-/// during Flush()).
+/// Outcome of one processed window (one Poll(), or Flush()'s verification
+/// run).
 struct StreamWindowReport {
   uint64_t window_id = 0;
   size_t appended_rows = 0;
-  size_t retracted_rows = 0;
   /// Dirty blocks this window touched (across rules) and the candidate
   /// rows the incremental index fed into detection.
   size_t dirty_blocks = 0;
@@ -83,12 +73,10 @@ struct StreamWindowReport {
   double repair_seconds = 0.0;
 };
 
-/// Outcome of Flush(): every window drained plus the verification passes.
+/// Outcome of Flush(): every window drained plus the verification window.
 struct StreamFlushReport {
   std::vector<StreamWindowReport> windows;
-  /// True when the final full-table verification found no repairable
-  /// violations (always false when verify_on_flush is off and dirt
-  /// remained untouched — which Flush() never leaves behind).
+  /// True when the final full-table verification reached a fix point.
   bool converged = false;
   size_t total_violations = 0;
   size_t total_applied_fixes = 0;
@@ -135,8 +123,9 @@ class StreamSession {
   /// when nothing is pending.
   Result<StreamWindowReport> Poll();
 
-  /// Drains every pending window, then (verify_on_flush) runs full-table
-  /// verification windows until convergence or the window iteration cap.
+  /// Drains every pending window, then runs one verification window: a
+  /// fix-point run detecting over the whole table, so a drained session
+  /// meets the same fix-point contract as one-shot Clean().
   Result<StreamFlushReport> Flush();
 
   /// Current observable counters (also pushed to the StreamDirectory).
@@ -209,9 +198,6 @@ class StreamSession {
   /// the touched keys dirty.
   void IndexInsert(const Row& row);
   void IndexRemove(RowId id);
-  /// Re-keys one live row after a repair changed its cells; old and new
-  /// blocks both become dirty for the current window.
-  void Rekey(const Row& row);
 
   /// True when a window has anything to do.
   bool HasWork() const;
@@ -223,26 +209,27 @@ class StreamSession {
   /// violate — exact, so skipping the block drops nothing.
   bool BlockMayViolate(RuleIndex* ri, const std::vector<size_t>& positions);
 
+  /// Detection source of a window: the dirty blocks of every blocked
+  /// rule, the engine's changed-rows path for the others.
+  class DirtyBlockSource;
+
   /// Processes one window: moves the oldest batch (if any) into the table
   /// and runs the windowed detect/repair fix-point over the dirty blocks.
   Result<StreamWindowReport> ProcessWindow();
 
-  /// Runs full-table windows until convergence (Flush verification).
-  Status RunVerifyWindows(StreamFlushReport* out);
+  /// Runs one fix-point window over `source`, seeded with the pending
+  /// changed rows, and folds it into `rep` and the session stats.
+  /// `window_timer` started when the window did.
+  Status RunWindow(DetectionSource* source, StreamWindowReport* rep,
+                   const Stopwatch& window_timer);
 
   /// Candidate sub-table of rule `ri`'s dirty blocks (kernel-prescreened),
-  /// in table row order. Returns the candidate row count via `candidates`.
-  Table BuildCandidateTable(RuleIndex* ri, size_t* candidates);
+  /// in table row order.
+  Table BuildCandidateTable(RuleIndex* ri);
 
-  /// Applies repair assignments through the session (position map, code
-  /// re-encode, block re-keying, lineage/quality attribution). Returns
-  /// cells actually changed. Freeze bookkeeping and dirty re-marking stay
-  /// with the caller, mirroring Clean()'s ordering.
-  size_t ApplyWindowAssignments(
-      const std::vector<CellAssignment>& assignments,
-      const std::vector<FixProvenance>& provenance, size_t iteration,
-      const std::vector<ViolationWithFixes>& violations,
-      QualityIterationSample* sample);
+  /// After-apply hook of every window: re-encodes and re-keys the rows
+  /// whose indexed cells a repair changed.
+  void Reindex(const std::vector<CellRef>& cells);
 
   void PushStats(bool closing = false);
 
@@ -279,14 +266,14 @@ class StreamSession {
   uint64_t pool_epoch_ = 0;
 
   std::vector<RuleIndex> indexes_;
-  /// Rows appended/repaired since the last processed window (seeds the
-  /// incremental fallback path for unindexed rules).
+  /// Rows appended/repaired since the last processed window: the next
+  /// window's seed (their blocks re-verify; unindexed rules pair them
+  /// against the table).
   std::unordered_set<RowId> pending_changed_;
 
   /// Freeze bookkeeping shared across all windows of the session (same
   /// oscillation-termination contract as Clean()).
-  std::unordered_map<CellRef, size_t, CellRefHash> update_counts_;
-  std::unordered_set<CellRef, CellRefHash> frozen_;
+  FreezeState freeze_;
 
   uint64_t window_seq_ = 0;
   StreamSessionStats stats_;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/bigdansing.h"
 #include "core/rule_engine.h"
 #include "datagen/datagen.h"
 #include "repair/quality.h"
 #include "rules/parser.h"
+#include "rules/udf_rule.h"
 
 namespace bigdansing {
 namespace {
@@ -106,17 +109,65 @@ TEST(Incremental, UnblockedDcMatchesFullOnChangedRows) {
 }
 
 TEST(Incremental, NoDuplicateProbesWhenBothSidesChanged) {
-  // Two changed rows violating with each other must yield exactly one
-  // violation, not two.
-  Table t(Schema({"salary", "rate"}));
-  t.AppendRow({Value(static_cast<int64_t>(100)), Value(static_cast<int64_t>(9))});
-  t.AppendRow({Value(static_cast<int64_t>(200)), Value(static_cast<int64_t>(5))});
-  auto rule = *ParseRule("phi2: DC: t1.salary > t2.salary & t1.rate < t2.rate");
+  // With every row changed, the incremental pass must report each violation
+  // exactly as often as the full pass does — never once per orientation.
+  // Counts, not PairSet: a set hides duplicates.
+  struct Case {
+    std::string name;
+    Table table;
+    RulePtr rule;
+    size_t violations;
+  };
+  std::vector<Case> cases;
+
+  // An asymmetric DC (OCJoin): two changed rows violating with each other.
+  Table dc_table(Schema({"salary", "rate"}));
+  dc_table.AppendRow({Value(static_cast<int64_t>(100)), Value(static_cast<int64_t>(9))});
+  dc_table.AppendRow({Value(static_cast<int64_t>(200)), Value(static_cast<int64_t>(5))});
+  cases.push_back(
+      {"dc", std::move(dc_table),
+       *ParseRule("phi2: DC: t1.salary > t2.salary & t1.rate < t2.rate"), 1});
+
+  // A symmetric unblocked UDF (UCrossProduct): rows with equal `a` clash.
+  Table udf_table(Schema({"a"}));
+  for (int64_t a : {1, 2, 1, 3, 2, 1}) udf_table.AppendRow({Value(a)});
+  auto udf = std::make_shared<UdfRule>("same_a");
+  udf->set_symmetric(true)
+      .set_detect([](const Schema& schema, const Row& x, const Row& y,
+                     std::vector<Violation>* out) {
+        if (x.value(0) != y.value(0)) return;
+        Violation v;
+        v.rule_name = "same_a";
+        v.cells.push_back(UdfRule::MakeUdfCell(x, 0, schema));
+        v.cells.push_back(UdfRule::MakeUdfCell(y, 0, schema));
+        out->push_back(std::move(v));
+      });
+  // Pairs {0,2}, {0,5}, {2,5} (a = 1) and {1,4} (a = 2).
+  cases.push_back({"symmetric udf", std::move(udf_table), udf, 4});
+
   ExecutionContext ctx(2);
   RuleEngine engine(&ctx);
-  auto incremental = DetectIncremental(engine, t, rule, {0, 1});
-  ASSERT_TRUE(incremental.ok());
-  EXPECT_EQ(incremental->violations.size(), 1u);
+  for (const Case& c : cases) {
+    std::unordered_set<RowId> all;
+    for (const Row& row : c.table.rows()) all.insert(row.id());
+    auto full = engine.Detect(c.table, c.rule);
+    ASSERT_TRUE(full.ok()) << c.name;
+    EXPECT_EQ(full->violations.size(), c.violations) << c.name;
+    auto incremental = DetectIncremental(engine, c.table, c.rule, all);
+    ASSERT_TRUE(incremental.ok()) << c.name;
+    EXPECT_EQ(incremental->violations.size(), c.violations) << c.name;
+    EXPECT_EQ(PairSet(*incremental), PairSet(*full)) << c.name;
+    // Each violation names its rows in the orientation the full pass uses.
+    std::multiset<std::vector<RowId>> inc_ids;
+    std::multiset<std::vector<RowId>> full_ids;
+    for (const auto& vf : incremental->violations) {
+      inc_ids.insert(vf.violation.RowIds());
+    }
+    for (const auto& vf : full->violations) {
+      full_ids.insert(vf.violation.RowIds());
+    }
+    EXPECT_EQ(inc_ids, full_ids) << c.name;
+  }
 }
 
 TEST(Incremental, CleanLoopMatchesNonIncrementalResult) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,8 +18,10 @@
 #include "core/stream_session.h"
 #include "data/csv.h"
 #include "datagen/datagen.h"
+#include "obs/quality.h"
 #include "obs/stream_stats.h"
 #include "rules/parser.h"
+#include "rules/udf_rule.h"
 #include "strict_json_test_util.h"
 
 namespace bigdansing {
@@ -374,6 +378,97 @@ TEST(Stream, PreloadedTableIsCleanedByFlushAlone) {
   ASSERT_TRUE(flush.ok()) << flush.status().ToString();
   EXPECT_TRUE(flush->converged);
   EXPECT_EQ(Fingerprint(working), Fingerprint(reference));
+}
+
+/// A two-row table under a UDF where every pair always violates; the
+/// fix assigns `fix_value(left, right)` to the pair's left cell.
+struct AlwaysViolating {
+  Table table{Schema({"a"})};
+  std::shared_ptr<UdfRule> rule = std::make_shared<UdfRule>("oscillator");
+
+  explicit AlwaysViolating(std::function<double(double, double)> fix_value) {
+    table.AppendRow({Value(static_cast<int64_t>(1))});
+    table.AppendRow({Value(static_cast<int64_t>(2))});
+    rule->set_symmetric(true)
+        .set_detect([](const Schema& schema, const Row& a, const Row& b,
+                       std::vector<Violation>* out) {
+          Violation v;
+          v.rule_name = "oscillator";
+          v.cells.push_back(UdfRule::MakeUdfCell(a, 0, schema));
+          v.cells.push_back(UdfRule::MakeUdfCell(b, 0, schema));
+          out->push_back(std::move(v));
+        })
+        .set_gen_fix([fix_value](const Schema&, const Violation& v,
+                                 std::vector<Fix>* out) {
+          Fix fix;
+          fix.left = v.cells[0];
+          fix.op = FixOp::kEq;
+          fix.right = FixTerm::MakeConstant(Value(fix_value(
+              v.cells[0].value.AsNumber(), v.cells[1].value.AsNumber())));
+          out->push_back(std::move(fix));
+        });
+  }
+
+  /// OpenStream + Flush; returns the flush and the session's last
+  /// quality run.
+  StreamFlushReport Flush(RepairMode mode, QualityRunRecord* last) {
+    ExecutionContext ctx(2);
+    StreamOptions options;
+    options.clean.repair_mode = mode;
+    options.clean.max_iterations = 6;
+    options.clean.freeze_after_updates = 2;
+    options.session_name = "oscillator-stream";
+    BigDansing system(&ctx);
+    auto session = system.OpenStream(&table, {rule}, options);
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    if (!session.ok()) return {};
+    auto flush = (*session)->Flush();
+    EXPECT_TRUE(flush.ok()) << flush.status().ToString();
+    EXPECT_TRUE(QualityRecorder::Instance().LatestRun(last));
+    return flush.ok() ? *flush : StreamFlushReport{};
+  }
+};
+
+TEST(Stream, FlushVerificationReportsConvergenceLikeClean) {
+  struct QualityOn {
+    QualityOn() {
+      QualityRecorder::Instance().Clear();
+      QualityRecorder::Instance().set_enabled(true);
+    }
+    ~QualityOn() {
+      QualityRecorder::Instance().set_enabled(false);
+      QualityRecorder::Instance().Clear();
+    }
+  } quality_on;
+
+  // cleanse_test's oscillator (left = right + 1): a pass whose repair
+  // changes nothing has reached Clean()'s fix point, and the session's
+  // last quality run must say what Flush() says.
+  AlwaysViolating oscillator([](double, double right) { return right + 1; });
+  QualityRunRecord last;
+  StreamFlushReport flush =
+      oscillator.Flush(RepairMode::kEquivalenceClass, &last);
+  EXPECT_TRUE(flush.converged);
+  ASSERT_FALSE(flush.windows.empty());
+  for (const auto& w : flush.windows) {
+    if (w.applied_fixes == 0) {
+      EXPECT_TRUE(w.converged) << "window " << w.window_id;
+    }
+  }
+  EXPECT_EQ(last.session, "oscillator-stream");
+  EXPECT_FALSE(last.in_progress);
+  EXPECT_EQ(last.converged, flush.converged);
+
+  // Under hypergraph repair, a fix that always moves its own cell
+  // (left = left + 1) only stops once the cell freezes; the verification
+  // run samples that freeze state like every other run.
+  AlwaysViolating creeping([](double left, double) { return left + 1; });
+  flush = creeping.Flush(RepairMode::kHypergraph, &last);
+  EXPECT_TRUE(flush.converged);
+  EXPECT_EQ(last.converged, flush.converged);
+  ASSERT_FALSE(last.curve.empty());
+  EXPECT_GT(last.curve.back().frozen_cells, 0u);
+  EXPECT_GT(last.curve.back().oscillating_cells, 0u);
 }
 
 }  // namespace
