@@ -90,38 +90,36 @@ Status StreamSession::Init() {
     // blocking — both take the engine's changed-rows path instead.
     ri.blocked = has_key && rule->arity() == 2 &&
                  ri.plan.strategy != IterateStrategy::kSingle;
-    if (ri.blocked && !ri.plan.block_key_fn) {
-      for (size_t c : ri.plan.blocking_columns) {
-        ri.key_cols.push_back(ri.plan.scope_columns.empty()
-                                  ? c
-                                  : ri.plan.scope_columns[c]);
-      }
-    }
-    if (ri.blocked && !ri.plan.block_key_fn &&
-        session_ctx_->kernels_enabled()) {
-      ri.tmpl = KernelRegistry::Instance().Compile(*rule, ri.plan.detect_schema);
-      if (ri.tmpl) {
-        for (size_t c : ri.tmpl->columns()) {
-          ri.slot_cols.push_back(ri.plan.scope_columns.empty()
-                                     ? c
-                                     : ri.plan.scope_columns[c]);
-        }
-      }
-    }
     indexes_.push_back(std::move(ri));
   }
 
-  // Indexed base columns: every blocking key column plus every kernel slot.
-  for (const auto& ri : indexes_) {
-    for (size_t c : ri.key_cols) {
-      if (col_slot_.emplace(c, indexed_cols_.size()).second) {
-        indexed_cols_.push_back(c);
+  // Indexed base columns: every blocking key column plus every kernel slot,
+  // one code slot each.
+  auto base_col = [](const RuleIndex& ri, size_t c) {
+    return ri.plan.scope_columns.empty() ? c : ri.plan.scope_columns[c];
+  };
+  col_slot_.assign(table_->schema().num_attributes(), kNoSlot);
+  auto slot_of = [this](size_t col) {
+    if (col_slot_[col] == kNoSlot) {
+      col_slot_[col] = indexed_cols_.size();
+      indexed_cols_.push_back(col);
+    }
+    return col_slot_[col];
+  };
+  for (RuleIndex& ri : indexes_) {
+    if (!ri.blocked) continue;
+    if (!ri.plan.block_key_fn) {
+      for (size_t c : ri.plan.blocking_columns) {
+        ri.key_slots.push_back(slot_of(base_col(ri, c)));
+      }
+      if (session_ctx_->kernels_enabled()) {
+        ri.tmpl = KernelRegistry::Instance().Compile(*ri.plan.rule,
+                                                     ri.plan.detect_schema);
       }
     }
-    for (size_t c : ri.slot_cols) {
-      if (col_slot_.emplace(c, indexed_cols_.size()).second) {
-        indexed_cols_.push_back(c);
-      }
+    if (!ri.tmpl) continue;
+    for (size_t c : ri.tmpl->columns()) {
+      ri.kernel_slots.push_back(slot_of(base_col(ri, c)));
     }
   }
 
@@ -133,34 +131,31 @@ Status StreamSession::Init() {
     while (parent[x] != x) x = parent[x] = parent[parent[x]];
     return x;
   };
-  for (const auto& ri : indexes_) {
+  for (const RuleIndex& ri : indexes_) {
     if (!ri.tmpl) continue;
     for (const auto& group : ri.tmpl->shared_groups()) {
       for (size_t i = 1; i < group.size(); ++i) {
-        const size_t a = ri.plan.scope_columns.empty()
-                             ? group[0]
-                             : ri.plan.scope_columns[group[0]];
-        const size_t b = ri.plan.scope_columns.empty()
-                             ? group[i]
-                             : ri.plan.scope_columns[group[i]];
-        parent[find(col_slot_.at(a))] = find(col_slot_.at(b));
+        parent[find(col_slot_[base_col(ri, group[0])])] =
+            find(col_slot_[base_col(ri, group[i])]);
       }
     }
   }
-  col_group_.resize(indexed_cols_.size());
+  slot_group_.resize(indexed_cols_.size());
   std::unordered_map<size_t, size_t> root_to_group;
   for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-    const size_t root = find(s);
-    auto [it, fresh] = root_to_group.emplace(root, pools_.size());
-    if (fresh) pools_.push_back(std::make_shared<const ValuePool>(
-        std::vector<Value>()));
-    col_group_[s] = it->second;
+    auto [it, fresh] = root_to_group.emplace(find(s), groups_.size());
+    if (fresh) {
+      groups_.emplace_back();
+      groups_.back().sorted =
+          std::make_shared<const ValuePool>(std::vector<Value>());
+    }
+    slot_group_[s] = it->second;
   }
+  codes_.resize(indexed_cols_.size());
 
   // Index the existing rows and mark their blocks dirty, so the first
   // processed window cleans the backlog (OpenStream + Flush ≈ Clean).
-  std::vector<const Row*> existing;
-  existing.reserve(table_->num_rows());
+  std::vector<uint32_t> existing(table_->num_rows());
   for (size_t pos = 0; pos < table_->num_rows(); ++pos) {
     const Row& row = table_->row(pos);
     if (!row_pos_.emplace(row.id(), pos).second) {
@@ -168,13 +163,12 @@ Status StreamSession::Init() {
           "OpenStream: duplicate row id " + std::to_string(row.id()));
     }
     next_row_id_ = std::max(next_row_id_, row.id() + 1);
-    existing.push_back(&row);
+    existing[pos] = static_cast<uint32_t>(pos);
   }
-  GrowPools(existing);
-  for (const Row* row : existing) {
-    EncodeRow(*row);
-    IndexInsert(*row);
-    pending_changed_.insert(row->id());
+  EncodeRows(existing);
+  for (uint32_t pos : existing) {
+    IndexRow(pos);
+    pending_changed_.insert(table_->row(pos).id());
   }
 
   directory_id_ = StreamDirectory::Instance().Register(name_);
@@ -185,52 +179,34 @@ Status StreamSession::Init() {
   return Status::OK();
 }
 
-void StreamSession::GrowPools(const std::vector<const Row*>& rows) {
-  if (pools_.empty() || rows.empty()) return;
-  std::vector<std::vector<Value>> fresh(pools_.size());
-  for (const Row* row : rows) {
-    for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-      const Value& v = row->value(indexed_cols_[s]);
-      if (v.is_null()) continue;
-      if (pools_[col_group_[s]]->CodeOf(v) == ValuePool::kAbsentCode) {
-        fresh[col_group_[s]].push_back(v);
-      }
-    }
+void StreamSession::EncodeRows(const std::vector<uint32_t>& positions) {
+  const size_t rows = table_->num_rows();
+  for (RuleIndex& ri : indexes_) {
+    if (ri.blocked) ri.row_block.resize(rows, kNoBlock);
   }
-  for (size_t g = 0; g < pools_.size(); ++g) {
-    if (fresh[g].empty()) continue;
-    std::vector<uint32_t> old_to_new;
-    auto grown = GrowPool(pools_[g], fresh[g], &old_to_new);
-    if (grown == pools_[g]) continue;
-    pools_[g] = std::move(grown);
-    ++pool_epoch_;
-    ++stats_.pool_growths;
-    // Monotone remap of every stored code of this group's columns.
-    for (auto& [id, codes] : row_codes_) {
-      for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-        if (col_group_[s] != g) continue;
-        const uint32_t c = codes[s];
-        if (c < old_to_new.size()) codes[s] = old_to_new[c];
-      }
-    }
+  std::vector<size_t> before(groups_.size());
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    before[g] = groups_[g].codes.size();
   }
-}
-
-void StreamSession::EncodeRow(const Row& row) {
-  if (indexed_cols_.empty()) return;
-  auto& codes = row_codes_[row.id()];
-  codes.resize(indexed_cols_.size());
   for (size_t s = 0; s < indexed_cols_.size(); ++s) {
-    codes[s] = pools_[col_group_[s]]->CodeOf(row.value(indexed_cols_[s]));
+    std::vector<uint32_t>& codes = codes_[s];
+    codes.resize(rows, ValuePool::kNullCode);
+    StablePool& pool = groups_[slot_group_[s]].codes;
+    const size_t col = indexed_cols_[s];
+    for (uint32_t pos : positions) {
+      codes[pos] = pool.Intern(table_->row(pos).value(col));
+    }
+  }
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    if (groups_[g].codes.size() > before[g]) ++stats_.pool_growths;
   }
 }
 
-void StreamSession::DropCodes(RowId id) { row_codes_.erase(id); }
-
-bool StreamSession::KeyOf(const RuleIndex& ri, const Row& row,
+bool StreamSession::KeyOf(const RuleIndex& ri, uint32_t pos,
                           uint64_t* key) const {
   if (ri.plan.block_key_fn) {
     // UDF keys see the scoped row, exactly as the engine's blocking stage.
+    const Row& row = table_->row(pos);
     Value v = ri.plan.scope_columns.empty()
                   ? ri.plan.block_key_fn(ri.plan.detect_schema, row)
                   : ri.plan.block_key_fn(
@@ -242,55 +218,86 @@ bool StreamSession::KeyOf(const RuleIndex& ri, const Row& row,
   }
   // Pool-hash path: hash(code) is the precomputed Value::Hash, so the key
   // is the engine's ComputeBlockKey rebuilt from dictionary codes.
-  const auto codes_it = row_codes_.find(row.id());
   uint64_t h = 0x42D;
-  for (size_t c : ri.key_cols) {
-    uint64_t vh = 0;
-    bool have = false;
-    if (codes_it != row_codes_.end()) {
-      const size_t slot = col_slot_.at(c);
-      const uint32_t code = codes_it->second[slot];
-      if (code == ValuePool::kNullCode) return false;
-      const ValuePool& pool = *pools_[col_group_[slot]];
-      if (code < pool.size()) {
-        vh = pool.hash(code);
-        have = true;
-      }
-    }
-    if (!have) {
-      const Value& v = row.value(c);
-      if (v.is_null()) return false;
-      vh = v.Hash();
-    }
-    h = StableHashUint64(h ^ vh);
+  for (size_t slot : ri.key_slots) {
+    const uint32_t code = codes_[slot][pos];
+    if (code == ValuePool::kNullCode) return false;
+    h = StableHashUint64(h ^ groups_[slot_group_[slot]].codes.hash(code));
   }
   *key = h;
   return true;
 }
 
-void StreamSession::IndexInsert(const Row& row) {
-  for (auto& ri : indexes_) {
-    if (!ri.blocked) continue;
-    uint64_t key = 0;
-    if (!KeyOf(ri, row, &key)) continue;
-    ri.blocks[key].insert(row.id());
-    ri.row_key[row.id()] = key;
-    ri.dirty.insert(key);
-  }
+void StreamSession::MarkDirty(RuleIndex* ri, uint32_t block) {
+  Block& b = ri->blocks[block];
+  if (b.dirty) return;
+  b.dirty = true;
+  ri->dirty.push_back(block);
 }
 
-void StreamSession::IndexRemove(RowId id) {
-  for (auto& ri : indexes_) {
-    if (!ri.blocked) continue;
-    auto it = ri.row_key.find(id);
-    if (it == ri.row_key.end()) continue;
-    auto block = ri.blocks.find(it->second);
-    if (block != ri.blocks.end()) {
-      block->second.erase(id);
-      if (block->second.empty()) ri.blocks.erase(block);
+void StreamSession::ClearDirty(RuleIndex* ri) {
+  for (uint32_t id : ri->dirty) {
+    Block& block = ri->blocks[id];
+    block.dirty = false;
+    if (block.members.empty()) {
+      // Every emptied block passes through the dirty list, so this is where
+      // its key and storage are reclaimed; the id is reused by a later key.
+      ri->block_of_key.erase(block.key);
+      std::vector<uint32_t>().swap(block.members);
+      ri->free_blocks.push_back(id);
     }
-    ri.dirty.insert(it->second);
-    ri.row_key.erase(it);
+  }
+  ri->dirty.clear();
+}
+
+void StreamSession::JoinBlock(RuleIndex* ri, uint32_t pos, uint64_t key) {
+  uint32_t next = static_cast<uint32_t>(ri->blocks.size());
+  if (!ri->free_blocks.empty()) next = ri->free_blocks.back();
+  auto [it, fresh] = ri->block_of_key.emplace(key, next);
+  if (fresh) {
+    if (next == ri->blocks.size()) {
+      ri->blocks.push_back(Block{key, {}, false});
+    } else {
+      ri->free_blocks.pop_back();
+      ri->blocks[next].key = key;
+    }
+  }
+  std::vector<uint32_t>& members = ri->blocks[it->second].members;
+  // Landed rows append at the table's end; only a repaired row moving
+  // between blocks lands mid-block.
+  if (members.empty() || members.back() < pos) {
+    members.push_back(pos);
+  } else {
+    members.insert(std::lower_bound(members.begin(), members.end(), pos),
+                   pos);
+  }
+  ri->row_block[pos] = it->second;
+  MarkDirty(ri, it->second);
+}
+
+void StreamSession::LeaveBlock(RuleIndex* ri, uint32_t pos) {
+  const uint32_t block = ri->row_block[pos];
+  std::vector<uint32_t>& members = ri->blocks[block].members;
+  members.erase(std::lower_bound(members.begin(), members.end(), pos));
+  ri->row_block[pos] = kNoBlock;
+  MarkDirty(ri, block);
+}
+
+void StreamSession::IndexRow(uint32_t pos) {
+  for (RuleIndex& ri : indexes_) {
+    if (!ri.blocked) continue;
+    uint64_t key = 0;
+    const bool keyed = KeyOf(ri, pos, &key);
+    const uint32_t block = ri.row_block[pos];
+    if (block != kNoBlock) {
+      if (keyed && ri.blocks[block].key == key) {
+        // Unchanged key: the membership stands; re-verify the block.
+        MarkDirty(&ri, block);
+        continue;
+      }
+      LeaveBlock(&ri, pos);
+    }
+    if (keyed) JoinBlock(&ri, pos, key);
   }
 }
 
@@ -359,7 +366,7 @@ Status StreamSession::AppendValues(std::vector<std::vector<Value>> rows) {
 
 Status StreamSession::Retract(const std::vector<RowId>& row_ids) {
   if (closed_) return Status::InvalidArgument("stream session is closed");
-  std::vector<size_t> positions;
+  std::vector<uint32_t> removed;
   for (RowId id : row_ids) {
     if (pending_ids_.count(id) > 0) {
       // Still queued: the row never reaches the table.
@@ -377,25 +384,72 @@ Status StreamSession::Retract(const std::vector<RowId>& row_ids) {
     }
     auto pos = row_pos_.find(id);
     if (pos == row_pos_.end()) continue;  // unknown/already retracted
-    IndexRemove(id);
-    DropCodes(id);
+    removed.push_back(static_cast<uint32_t>(pos->second));
+    row_pos_.erase(pos);
     pending_changed_.erase(id);
-    positions.push_back(pos->second);
     ++stats_.retracted_rows;
   }
-  if (!positions.empty()) {
-    // Erase back-to-front so earlier positions stay valid, then rebuild the
-    // position map once.
-    std::sort(positions.begin(), positions.end(), std::greater<size_t>());
-    auto& rows = table_->mutable_rows();
-    for (size_t pos : positions) rows.erase(rows.begin() + pos);
-    row_pos_.clear();
-    for (size_t pos = 0; pos < rows.size(); ++pos) {
-      row_pos_[rows[pos].id()] = pos;
-    }
+  if (!removed.empty()) {
+    std::sort(removed.begin(), removed.end());
+    Compact(removed);
   }
   PushStats();
   return Status::OK();
+}
+
+namespace {
+
+constexpr uint32_t kGone = 0xFFFFFFFFu;
+
+/// Stable in-place compaction: moves v[i] to v[remap[i]], dropping the
+/// entries whose remap is kGone (remap[i] <= i, so nothing is overwritten
+/// before it moves).
+template <typename T>
+void CompactByRemap(std::vector<T>* v, const std::vector<uint32_t>& remap,
+                    size_t kept) {
+  for (size_t i = 0; i < v->size(); ++i) {
+    if (remap[i] != kGone && remap[i] != i) (*v)[remap[i]] = std::move((*v)[i]);
+  }
+  v->resize(kept);
+}
+
+}  // namespace
+
+void StreamSession::Compact(const std::vector<uint32_t>& removed) {
+  const size_t rows = table_->num_rows();
+  std::vector<uint32_t> remap(rows);
+  uint32_t kept = 0;
+  for (size_t pos = 0, r = 0; pos < rows; ++pos) {
+    if (r < removed.size() && removed[r] == pos) {
+      remap[pos] = kGone;
+      ++r;
+    } else {
+      remap[pos] = kept++;
+    }
+  }
+  const uint32_t first = removed.front();
+  for (RuleIndex& ri : indexes_) {
+    if (!ri.blocked) continue;
+    for (uint32_t pos : removed) {
+      if (ri.row_block[pos] != kNoBlock) MarkDirty(&ri, ri.row_block[pos]);
+    }
+    for (Block& block : ri.blocks) {
+      // Blocks wholly before the first removed row keep their positions.
+      if (block.members.empty() || block.members.back() < first) continue;
+      size_t out = 0;
+      for (uint32_t pos : block.members) {
+        if (remap[pos] != kGone) block.members[out++] = remap[pos];
+      }
+      block.members.resize(out);
+    }
+    CompactByRemap(&ri.row_block, remap, kept);
+  }
+  for (auto& codes : codes_) CompactByRemap(&codes, remap, kept);
+  auto& table_rows = table_->mutable_rows();
+  CompactByRemap(&table_rows, remap, kept);
+  for (size_t pos = first; pos < table_rows.size(); ++pos) {
+    row_pos_[table_rows[pos].id()] = pos;
+  }
 }
 
 bool StreamSession::HasWork() const {
@@ -406,50 +460,79 @@ bool StreamSession::HasWork() const {
   return false;
 }
 
+const std::shared_ptr<const ValuePool>& StreamSession::SyncSorted(size_t g) {
+  PoolGroup& group = groups_[g];
+  const size_t synced = group.to_sorted.size();
+  if (synced == group.codes.size()) return group.sorted;
+  std::vector<Value> fresh;
+  fresh.reserve(group.codes.size() - synced);
+  for (size_t c = synced; c < group.codes.size(); ++c) {
+    fresh.push_back(group.codes.value(static_cast<uint32_t>(c)));
+  }
+  std::vector<uint32_t> old_to_new;
+  group.sorted = GrowPool(group.sorted, fresh, &old_to_new);
+  for (uint32_t& code : group.to_sorted) code = old_to_new[code];
+  for (const Value& v : fresh) {
+    group.to_sorted.push_back(group.sorted->CodeOf(v));
+  }
+  return group.sorted;
+}
+
 void StreamSession::EnsureKernelBound(RuleIndex* ri) {
   if (!ri->tmpl) return;
-  if (ri->kernel && ri->kernel_pool_epoch == pool_epoch_) return;
-  std::vector<const ValuePool*> pools;
-  pools.reserve(ri->slot_cols.size());
-  for (size_t c : ri->slot_cols) {
-    pools.push_back(pools_[col_group_[col_slot_.at(c)]].get());
+  const size_t slots = ri->kernel_slots.size();
+  bool stale = ri->kernel == nullptr;
+  ri->bound_pools.resize(slots);
+  for (size_t s = 0; s < slots; ++s) {
+    const auto& pool = SyncSorted(slot_group_[ri->kernel_slots[s]]);
+    if (ri->bound_pools[s] != pool) {
+      ri->bound_pools[s] = pool;
+      stale = true;
+    }
   }
+  if (!stale) return;
+  std::vector<const ValuePool*> pools;
+  pools.reserve(slots);
+  for (const auto& pool : ri->bound_pools) pools.push_back(pool.get());
   const bool rebind = ri->kernel != nullptr;
   ri->kernel = ri->tmpl->Bind(pools);
-  ri->kernel_pool_epoch = pool_epoch_;
   if (rebind) {
     ++stats_.kernel_rebinds;
     MetricsRegistry::Instance().GetCounter("stream.kernel_rebinds").Add(1);
   }
 }
 
-bool StreamSession::BlockMayViolate(RuleIndex* ri,
-                                    const std::vector<size_t>& positions) {
-  if (!ri->kernel) return true;
-  const size_t n = positions.size();
-  const size_t slots = ri->slot_cols.size();
-  std::vector<std::vector<uint32_t>> slot_codes(
-      slots, std::vector<uint32_t>(n, ValuePool::kNullCode));
-  for (size_t i = 0; i < n; ++i) {
-    const Row& row = table_->row(positions[i]);
-    auto it = row_codes_.find(row.id());
-    if (it == row_codes_.end()) return true;  // unencoded: assume dirty
-    for (size_t s = 0; s < slots; ++s) {
-      slot_codes[s][i] = it->second[col_slot_.at(ri->slot_cols[s])];
+bool StreamSession::BlockMayViolate(const RuleIndex& ri,
+                                    const std::vector<uint32_t>& members) {
+  if (!ri.kernel) return true;
+  const size_t n = members.size();
+  const size_t slots = ri.kernel_slots.size();
+  scratch_cols_.resize(slots);
+  if (scratch_codes_.size() < slots) scratch_codes_.resize(slots);
+  // The kernel is bound against the sorted pools: gather the block's codes
+  // through the stable -> sorted translation.
+  for (size_t s = 0; s < slots; ++s) {
+    const size_t slot = ri.kernel_slots[s];
+    const std::vector<uint32_t>& to_sorted =
+        groups_[slot_group_[slot]].to_sorted;
+    const std::vector<uint32_t>& codes = codes_[slot];
+    std::vector<uint32_t>& out = scratch_codes_[s];
+    out.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t code = codes[members[i]];
+      out[i] = code == ValuePool::kNullCode ? code : to_sorted[code];
     }
+    scratch_cols_[s] = out.data();
   }
-  std::vector<const uint32_t*> ptrs;
-  ptrs.reserve(slots);
-  for (size_t s = 0; s < slots; ++s) ptrs.push_back(slot_codes[s].data());
-  const bool symmetric = ri->plan.rule->IsSymmetric();
-  CodeTuple a{ptrs.data(), 0};
-  CodeTuple b{ptrs.data(), 0};
+  const bool symmetric = ri.plan.rule->IsSymmetric();
+  CodeTuple a{scratch_cols_.data(), 0};
+  CodeTuple b{scratch_cols_.data(), 0};
   for (size_t i = 0; i < n; ++i) {
     a.row = i;
     for (size_t j = i + 1; j < n; ++j) {
       b.row = j;
-      if (ri->kernel->Matches(a, b)) return true;
-      if (!symmetric && ri->kernel->Matches(b, a)) return true;
+      if (ri.kernel->Matches(a, b)) return true;
+      if (!symmetric && ri.kernel->Matches(b, a)) return true;
     }
   }
   return false;
@@ -457,51 +540,36 @@ bool StreamSession::BlockMayViolate(RuleIndex* ri,
 
 Table StreamSession::BuildCandidateTable(RuleIndex* ri) {
   EnsureKernelBound(ri);
-  std::vector<size_t> positions;
-  std::vector<size_t> block_positions;
-  for (uint64_t key : ri->dirty) {
-    auto block = ri->blocks.find(key);
-    if (block == ri->blocks.end() || block->second.size() < 2) continue;
-    block_positions.clear();
-    block_positions.reserve(block->second.size());
-    for (RowId id : block->second) {
-      auto pos = row_pos_.find(id);
-      if (pos != row_pos_.end()) block_positions.push_back(pos->second);
-    }
-    if (block_positions.size() < 2) continue;
-    // Table order inside the block, so detection enumerates candidate pairs
-    // exactly as a full pass over the base table would.
-    std::sort(block_positions.begin(), block_positions.end());
-    if (!BlockMayViolate(ri, block_positions)) continue;
-    positions.insert(positions.end(), block_positions.begin(),
-                     block_positions.end());
+  std::vector<uint32_t> positions;
+  for (uint32_t id : ri->dirty) {
+    const std::vector<uint32_t>& members = ri->blocks[id].members;
+    if (members.size() < 2 || !BlockMayViolate(*ri, members)) continue;
+    positions.insert(positions.end(), members.begin(), members.end());
   }
+  ClearDirty(ri);
+  // Blocks are disjoint and each ascends; merge them into table order.
   std::sort(positions.begin(), positions.end());
-  positions.erase(std::unique(positions.begin(), positions.end()),
-                  positions.end());
   Table sub(table_->schema());
-  for (size_t pos : positions) sub.AppendRowWithId(table_->row(pos));
+  for (uint32_t pos : positions) sub.AppendRowWithId(table_->row(pos));
   return sub;
 }
 
 void StreamSession::Reindex(const std::vector<CellRef>& cells) {
-  std::unordered_set<RowId> touched;
+  std::vector<uint32_t> touched;
   for (const CellRef& cell : cells) {
-    if (col_slot_.count(cell.column) > 0) touched.insert(cell.row_id);
+    if (col_slot_[cell.column] == kNoSlot) continue;
+    auto pos = row_pos_.find(cell.row_id);
+    if (pos != row_pos_.end()) {
+      touched.push_back(static_cast<uint32_t>(pos->second));
+    }
   }
   if (touched.empty()) return;
-  // Repaired values may be new to the pools (rule constants); grow once for
-  // the whole pass, then move the touched rows between blocks (old and new
-  // block both dirty).
-  std::vector<const Row*> rows;
-  rows.reserve(touched.size());
-  for (RowId id : touched) rows.push_back(&table_->row(row_pos_.at(id)));
-  GrowPools(rows);
-  for (const Row* row : rows) {
-    EncodeRow(*row);
-    IndexRemove(row->id());
-    IndexInsert(*row);
-  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  // Repaired values may be new to the pools (rule constants): intern them,
+  // then re-key the touched rows.
+  EncodeRows(touched);
+  for (uint32_t pos : touched) IndexRow(pos);
 }
 
 class StreamSession::DirtyBlockSource : public DetectionSource {
@@ -516,11 +584,13 @@ class StreamSession::DirtyBlockSource : public DetectionSource {
     // The changed rows re-verify in their current blocks: on the first
     // pass the window's seed rows, later the last repair's rows (Reindex
     // already dirtied the blocks rows moved between).
-    for (RuleIndex& ri : s_.indexes_) {
-      if (!ri.blocked) continue;
-      for (RowId id : changed) {
-        auto key = ri.row_key.find(id);
-        if (key != ri.row_key.end()) ri.dirty.insert(key->second);
+    for (RowId id : changed) {
+      auto pos = s_.row_pos_.find(id);
+      if (pos == s_.row_pos_.end()) continue;
+      for (RuleIndex& ri : s_.indexes_) {
+        if (!ri.blocked) continue;
+        const uint32_t block = ri.row_block[pos->second];
+        if (block != kNoBlock) MarkDirty(&ri, block);
       }
     }
     std::vector<DetectionResult> out(s_.rules_.size());
@@ -533,7 +603,6 @@ class StreamSession::DirtyBlockSource : public DetectionSource {
         if (ri.dirty.empty()) continue;
         rep_->dirty_blocks += ri.dirty.size();
         sub = s_.BuildCandidateTable(&ri);
-        ri.dirty.clear();
         rep_->candidate_rows += sub.num_rows();
         if (sub.num_rows() < 2) continue;
         req.table = &sub;
@@ -560,30 +629,25 @@ Result<StreamWindowReport> StreamSession::ProcessWindow() {
   StreamWindowReport rep;
   rep.window_id = ++window_seq_;
 
-  // Land the oldest micro-batch: append, encode against the session pools,
-  // join the violation index (marking the joined blocks dirty).
+  // Land the oldest micro-batch: append, encode against the session's
+  // stable pools, join the violation index (marking the joined blocks
+  // dirty).
   if (!pending_.empty()) {
     std::vector<Row> batch = std::move(pending_.front());
     pending_.pop_front();
     ++stats_.batches_processed;
     rep.appended_rows = batch.size();
-    const size_t first_pos = table_->num_rows();
+    std::vector<uint32_t> fresh;
+    fresh.reserve(batch.size());
     for (auto& row : batch) {
       pending_ids_.erase(row.id());
+      pending_changed_.insert(row.id());
+      fresh.push_back(static_cast<uint32_t>(table_->num_rows()));
       row_pos_[row.id()] = table_->num_rows();
       table_->AppendRowWithId(std::move(row));
     }
-    std::vector<const Row*> fresh;
-    fresh.reserve(table_->num_rows() - first_pos);
-    for (size_t pos = first_pos; pos < table_->num_rows(); ++pos) {
-      fresh.push_back(&table_->row(pos));
-    }
-    GrowPools(fresh);
-    for (const Row* row : fresh) {
-      EncodeRow(*row);
-      IndexInsert(*row);
-      pending_changed_.insert(row->id());
-    }
+    EncodeRows(fresh);
+    for (uint32_t pos : fresh) IndexRow(pos);
   }
 
   DirtyBlockSource source(this, &rep);
@@ -623,7 +687,7 @@ Status StreamSession::RunWindow(DetectionSource* source,
   }
   if (rep->converged) {
     // A fix point leaves no dirt behind.
-    for (auto& ri : indexes_) ri.dirty.clear();
+    for (auto& ri : indexes_) ClearDirty(&ri);
     pending_changed_.clear();
     ++stats_.windows_converged;
   } else {
@@ -696,13 +760,15 @@ StreamSessionStats StreamSession::stats() const {
   size_t blocks = 0;
   size_t rows = 0;
   for (const auto& ri : indexes_) {
-    blocks += ri.blocks.size();
-    rows += ri.row_key.size();
+    for (const Block& block : ri.blocks) {
+      blocks += block.members.empty() ? 0 : 1;
+      rows += block.members.size();
+    }
   }
   s.index_blocks = blocks;
   s.index_rows = rows;
   size_t pool_values = 0;
-  for (const auto& pool : pools_) pool_values += pool->size();
+  for (const auto& group : groups_) pool_values += group.codes.size();
   s.pool_values = pool_values;
   return s;
 }
@@ -714,15 +780,19 @@ StreamSession::IndexFingerprints() const {
   std::vector<std::pair<std::string, uint64_t>> out;
   out.reserve(indexes_.size());
   for (const auto& ri : indexes_) {
-    std::vector<uint64_t> keys;
-    keys.reserve(ri.blocks.size());
-    for (const auto& [key, members] : ri.blocks) keys.push_back(key);
+    std::vector<std::pair<uint64_t, uint32_t>> keys;  // (key, block id)
+    for (uint32_t b = 0; b < ri.blocks.size(); ++b) {
+      if (!ri.blocks[b].members.empty()) keys.emplace_back(ri.blocks[b].key, b);
+    }
     std::sort(keys.begin(), keys.end());
     uint64_t h = 0x5EED;
-    for (uint64_t key : keys) {
+    std::vector<RowId> ids;
+    for (const auto& [key, block] : keys) {
       h = StableHashUint64(h ^ key);
-      const auto& members = ri.blocks.at(key);
-      std::vector<RowId> ids(members.begin(), members.end());
+      ids.clear();
+      for (uint32_t pos : ri.blocks[block].members) {
+        ids.push_back(table_->row(pos).id());
+      }
       std::sort(ids.begin(), ids.end());
       for (RowId id : ids) {
         h = StableHashUint64(h ^ static_cast<uint64_t>(id));

@@ -85,9 +85,9 @@ struct StreamFlushReport {
 /// A long-running streaming cleanse session over one table: rows arrive via
 /// Append() in bounded micro-batches, leave via Retract(), and each Poll()
 /// processes one window — encode the batch against the session's persistent
-/// ValuePools, update the per-rule incremental violation index
-/// (blocking-key -> candidate row set), detect only inside the blocks the
-/// window touched, and run repair as a windowed fix-point seeded by the
+/// stable code pools, update the per-rule incremental violation index
+/// (blocking key -> member table positions), detect only inside the blocks
+/// the window touched, and run repair as a windowed fix-point seeded by the
 /// engine's incremental detection path. Created by BigDansing::OpenStream.
 ///
 /// Thread-compatible like RuleEngine: one caller thread at a time; the
@@ -148,6 +148,18 @@ class StreamSession {
  private:
   friend class BigDansing;
 
+  static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
+
+  /// The rows sharing one blocking key.
+  struct Block {
+    uint64_t key = 0;
+    /// Table positions, ascending: detection enumerates a block's pairs in
+    /// table order, exactly as a full pass over the base table would.
+    std::vector<uint32_t> members;
+    /// Listed in RuleIndex::dirty.
+    bool dirty = false;
+  };
+
   /// Per-rule incremental violation index state.
   struct RuleIndex {
     PhysicalRulePlan plan;
@@ -155,21 +167,37 @@ class StreamSession {
     /// has no index and windows fall back to the engine's incremental
     /// (changed-rows) detection path.
     bool blocked = false;
-    /// Base-table columns forming the key (empty for UDF keys).
-    std::vector<size_t> key_cols;
-    /// blocking-key -> member rows; the candidate sets detection reads.
-    std::unordered_map<uint64_t, std::unordered_set<RowId>> blocks;
-    /// Reverse map for retraction and repair-driven block moves.
-    std::unordered_map<RowId, uint64_t> row_key;
-    /// Kernel prescreen (null when the rule is not kernelizable): bound
-    /// against the session pools, rebound whenever a pool it reads grows.
+    /// Code slots forming the key (empty for UDF keys).
+    std::vector<size_t> key_slots;
+    /// Blocks by id. A block that empties keeps its key and id until its
+    /// dirt is cleared (ClearDirty); then both are released and the id goes
+    /// to `free_blocks` for reuse by the next new key.
+    std::vector<Block> blocks;
+    std::unordered_map<uint64_t, uint32_t> block_of_key;
+    std::vector<uint32_t> free_blocks;
+    /// Table position -> block id; kNoBlock for a null key component.
+    std::vector<uint32_t> row_block;
+    /// Ids of the blocks the next window re-verifies.
+    std::vector<uint32_t> dirty;
+    /// Kernel prescreen (null when the rule is not kernelizable).
     std::shared_ptr<const KernelTemplate> tmpl;
     std::unique_ptr<DetectKernel> kernel;
-    uint64_t kernel_pool_epoch = 0;
-    /// Base column per kernel slot.
-    std::vector<size_t> slot_cols;
-    /// Pending dirty keys for the next window.
-    std::unordered_set<uint64_t> dirty;
+    /// Code slot per kernel slot.
+    std::vector<size_t> kernel_slots;
+    /// The sorted pool per kernel slot the kernel is bound against; it is
+    /// rebound when one of them grows.
+    std::vector<std::shared_ptr<const ValuePool>> bound_pools;
+  };
+
+  /// One pool-sharing group of code slots.
+  struct PoolGroup {
+    /// Stable codes: a landed row's codes never change.
+    StablePool codes;
+    /// Sorted view covering stable codes [0, to_sorted.size()), which the
+    /// kernels are bound against; brought up to date only when a kernel
+    /// reads this group (SyncSorted).
+    std::shared_ptr<const ValuePool> sorted;
+    std::vector<uint32_t> to_sorted;
   };
 
   StreamSession(ExecutionContext* parent, Table* table,
@@ -181,33 +209,46 @@ class StreamSession {
 
   ExecutionContext* ctx() { return session_ctx_.get(); }
 
-  /// Grows the session pools to cover every indexed value of `rows`,
-  /// remapping all stored codes (monotone, O(live rows) per grown group)
-  /// and bumping pool_epoch_ so stale kernels rebind lazily.
-  void GrowPools(const std::vector<const Row*>& rows);
-  /// Dictionary-encodes the indexed columns of `row` against the session
-  /// pools (GrowPools must already cover the row's values).
-  void EncodeRow(const Row& row);
-  /// Removes the row's stored codes.
-  void DropCodes(RowId id);
-  /// Key of `row` under rule index `ri`; false when the row has a null key
-  /// component (the row joins no block).
-  bool KeyOf(const RuleIndex& ri, const Row& row, uint64_t* key) const;
+  /// Interns the indexed cells of the rows at `positions` into their
+  /// groups' stable pools and stores the codes, first growing the code
+  /// arrays and block maps to the table's size. Counts each group that
+  /// gained values as one pool growth.
+  void EncodeRows(const std::vector<uint32_t>& positions);
+  /// Key of the row at `pos` under rule index `ri`; false when the row has
+  /// a null key component (the row joins no block).
+  bool KeyOf(const RuleIndex& ri, uint32_t pos, uint64_t* key) const;
 
-  /// Inserts/removes one live row into/out of every rule index, marking
-  /// the touched keys dirty.
-  void IndexInsert(const Row& row);
-  void IndexRemove(RowId id);
+  /// Files the row at `pos` under its current key in every rule index: a
+  /// row in no block joins one, a row whose key changed moves (dirtying
+  /// both blocks), and a row whose key stands keeps its membership and
+  /// only dirties its block.
+  void IndexRow(uint32_t pos);
+  /// One rule's moves: join the block of `key` / leave the current block,
+  /// dirtying it either way.
+  static void JoinBlock(RuleIndex* ri, uint32_t pos, uint64_t key);
+  static void LeaveBlock(RuleIndex* ri, uint32_t pos);
+  static void MarkDirty(RuleIndex* ri, uint32_t block);
+  static void ClearDirty(RuleIndex* ri);
+
+  /// Removes the rows at `removed` (ascending table positions) from the
+  /// table, the code arrays and every rule index in one stable pass,
+  /// dirtying their former blocks and shifting later positions down.
+  void Compact(const std::vector<uint32_t>& removed);
 
   /// True when a window has anything to do.
   bool HasWork() const;
 
-  /// Rebinds rule `ri`'s kernel when a pool it reads grew since last bind.
+  /// Brings group `g`'s sorted view up to its stable pool: one GrowPool
+  /// merge of the codes added since, composed into the translation.
+  const std::shared_ptr<const ValuePool>& SyncSorted(size_t g);
+  /// Binds rule `ri`'s kernel, and rebinds it when a sorted pool it reads
+  /// grew since the last bind.
   void EnsureKernelBound(RuleIndex* ri);
-  /// Kernel prescreen of one block (rows given as table positions): false
-  /// only when the compiled kernel proves no ordered pair in the block can
-  /// violate — exact, so skipping the block drops nothing.
-  bool BlockMayViolate(RuleIndex* ri, const std::vector<size_t>& positions);
+  /// Kernel prescreen of one block: false only when the compiled kernel
+  /// proves no ordered pair in the block can violate — exact, so skipping
+  /// the block drops nothing.
+  bool BlockMayViolate(const RuleIndex& ri,
+                       const std::vector<uint32_t>& members);
 
   /// Detection source of a window: the dirty blocks of every blocked
   /// rule, the engine's changed-rows path for the others.
@@ -224,7 +265,7 @@ class StreamSession {
                    const Stopwatch& window_timer);
 
   /// Candidate sub-table of rule `ri`'s dirty blocks (kernel-prescreened),
-  /// in table row order.
+  /// in table row order; clears the rule's dirt.
   Table BuildCandidateTable(RuleIndex* ri);
 
   /// After-apply hook of every window: re-encodes and re-keys the rows
@@ -245,9 +286,11 @@ class StreamSession {
   /// so /stages namespaces this session's stages away from other work.
   std::unique_ptr<ExecutionContext> session_ctx_;
 
-  /// Row id -> position in table_->rows(); maintained across retraction
-  /// (Table::FindRowById degrades to a linear scan once ids stop matching
-  /// positions, so the session never uses it).
+  /// Row id -> position in table_->rows(), for the id-keyed edges (Append's
+  /// collision check, Retract, changed-row seeding, repairs' row lookup);
+  /// everything inside the index works on positions. Table::FindRowById
+  /// degrades to a linear scan once ids stop matching positions, so the
+  /// session never uses it.
   std::unordered_map<RowId, size_t> row_pos_;
   RowId next_row_id_ = 0;
 
@@ -255,15 +298,19 @@ class StreamSession {
   std::deque<std::vector<Row>> pending_;
   std::unordered_set<RowId> pending_ids_;
 
-  /// Indexed base columns (blocking + kernel slots), their shared-pool
-  /// groups, and per-live-row codes aligned with indexed_cols_.
+  /// Indexed base columns (blocking + kernel slots) by code slot, each
+  /// slot's pool group, and the reverse map (kNoSlot when not indexed).
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
   std::vector<size_t> indexed_cols_;
-  std::unordered_map<size_t, size_t> col_slot_;   // base col -> slot
-  std::vector<size_t> col_group_;                 // slot -> pool group
-  std::vector<std::shared_ptr<const ValuePool>> pools_;  // per group
-  std::unordered_map<RowId, std::vector<uint32_t>> row_codes_;
-  /// Bumped on every pool growth; kernels rebind lazily when stale.
-  uint64_t pool_epoch_ = 0;
+  std::vector<size_t> slot_group_;
+  std::vector<size_t> col_slot_;
+  std::vector<PoolGroup> groups_;
+  /// Stable codes per slot, indexed by table position.
+  std::vector<std::vector<uint32_t>> codes_;
+  /// Prescreen scratch reused across blocks: translated codes per kernel
+  /// slot and the per-slot column pointers a CodeTuple reads.
+  std::vector<std::vector<uint32_t>> scratch_codes_;
+  std::vector<const uint32_t*> scratch_cols_;
 
   std::vector<RuleIndex> indexes_;
   /// Rows appended/repaired since the last processed window: the next

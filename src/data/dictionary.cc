@@ -16,53 +16,6 @@ uint64_t NextPow2(uint64_t n) {
   return p;
 }
 
-/// Flat open-addressing set of distinct Values, used for the per-partition
-/// dedup in the encode stage. Slots hold value-index+1 (0 = empty) into a
-/// parallel (value, hash) store; probing compares cached hashes before
-/// falling back to Value equality, and nothing allocates per element —
-/// the node-per-insert cost of std::unordered_set is what this replaces in
-/// the hottest encode loop.
-class FlatValueSet {
- public:
-  void Reserve(size_t n) {
-    values_.reserve(n);
-    hashes_.reserve(n);
-    Rehash(NextPow2(2 * n + 16));
-  }
-
-  void Insert(Value v) {
-    if ((values_.size() + 1) * 2 > slots_.size()) Rehash(2 * slots_.size());
-    const uint64_t h = v.Hash();
-    uint64_t i = h & mask_;
-    while (uint32_t slot = slots_[i]) {
-      const uint32_t idx = slot - 1;
-      if (hashes_[idx] == h && values_[idx] == v) return;
-      i = (i + 1) & mask_;
-    }
-    slots_[i] = static_cast<uint32_t>(values_.size()) + 1;
-    values_.push_back(std::move(v));
-    hashes_.push_back(h);
-  }
-
-  std::vector<Value> Take() { return std::move(values_); }
-
- private:
-  void Rehash(uint64_t size) {
-    slots_.assign(size, 0);
-    mask_ = size - 1;
-    for (uint32_t idx = 0; idx < values_.size(); ++idx) {
-      uint64_t i = hashes_[idx] & mask_;
-      while (slots_[i]) i = (i + 1) & mask_;
-      slots_[i] = idx + 1;
-    }
-  }
-
-  std::vector<uint32_t> slots_;
-  uint64_t mask_ = 0;
-  std::vector<Value> values_;
-  std::vector<uint64_t> hashes_;
-};
-
 }  // namespace
 
 ValuePool::ValuePool(std::vector<Value> values)
@@ -101,6 +54,45 @@ uint32_t ValuePool::UpperBound(const Value& v) const {
   return static_cast<uint32_t>(it - values_.begin());
 }
 
+void StablePool::Reserve(size_t n) {
+  values_.reserve(n);
+  hashes_.reserve(n);
+  if (slots_.size() < 2 * n + 16) Rehash(NextPow2(2 * n + 16));
+}
+
+template <typename V>
+uint32_t StablePool::InternImpl(V&& v) {
+  if (v.is_null()) return ValuePool::kNullCode;
+  if ((values_.size() + 1) * 2 > slots_.size()) {
+    Rehash(std::max<uint64_t>(16, 2 * slots_.size()));
+  }
+  const uint64_t h = v.Hash();
+  uint64_t i = h & mask_;
+  while (uint32_t slot = slots_[i]) {
+    const uint32_t code = slot - 1;
+    if (hashes_[code] == h && values_[code] == v) return code;
+    i = (i + 1) & mask_;
+  }
+  const auto code = static_cast<uint32_t>(values_.size());
+  slots_[i] = code + 1;
+  values_.push_back(std::forward<V>(v));
+  hashes_.push_back(h);
+  return code;
+}
+
+uint32_t StablePool::Intern(const Value& v) { return InternImpl(v); }
+uint32_t StablePool::Intern(Value&& v) { return InternImpl(std::move(v)); }
+
+void StablePool::Rehash(uint64_t size) {
+  slots_.assign(size, 0);
+  mask_ = size - 1;
+  for (uint32_t code = 0; code < values_.size(); ++code) {
+    uint64_t i = hashes_[code] & mask_;
+    while (slots_[i]) i = (i + 1) & mask_;
+    slots_[i] = code + 1;
+  }
+}
+
 EncodedColumnSet EncodeColumns(
     const Dataset<Row>& data, const std::vector<std::vector<size_t>>& groups) {
   EncodedColumnSet out;
@@ -126,12 +118,12 @@ EncodedColumnSet EncodeColumns(
           "kernel:encode:pool", [&](size_t p, TaskContext& tc) {
             std::vector<std::vector<Value>> per_group(groups.size());
             for (size_t g = 0; g < groups.size(); ++g) {
-              FlatValueSet seen;
+              StablePool seen;
               seen.Reserve(parts[p].size() / 4 + 16);
               for (size_t c : groups[g]) {
                 for (const Row& row : parts[p]) {
                   const Value& v = row.value(row.source_column(c));
-                  if (!v.is_null()) seen.Insert(v);
+                  if (!v.is_null()) seen.Intern(v);
                 }
               }
               per_group[g] = seen.Take();
@@ -147,12 +139,12 @@ EncodedColumnSet EncodeColumns(
     ScopedActivity pool_activity(
         Profiler::Instance().Intern("kernel:encode:pool", "driver"), 0, 0);
     for (size_t g = 0; g < groups.size(); ++g) {
-      FlatValueSet merged;
+      StablePool merged;
       size_t total = 0;
       for (const auto& per_group : distinct) total += per_group[g].size();
       merged.Reserve(total);
       for (auto& per_group : distinct) {
-        for (Value& v : per_group[g]) merged.Insert(std::move(v));
+        for (Value& v : per_group[g]) merged.Intern(std::move(v));
       }
       // Sorted so code order equals Value order (ordering predicates
       // compile to u32 range tests against LowerBound/UpperBound).
@@ -213,11 +205,11 @@ std::shared_ptr<const ValuePool> GrowPool(
     std::shared_ptr<const ValuePool> base, const std::vector<Value>& fresh,
     std::vector<uint32_t>* old_to_new) {
   // Distinct genuinely-new values, sorted.
-  FlatValueSet seen;
+  StablePool seen;
   seen.Reserve(fresh.size());
   for (const Value& v : fresh) {
     if (v.is_null()) continue;
-    if (base->CodeOf(v) == ValuePool::kAbsentCode) seen.Insert(v);
+    if (base->CodeOf(v) == ValuePool::kAbsentCode) seen.Intern(v);
   }
   std::vector<Value> added = seen.Take();
   if (added.empty()) {

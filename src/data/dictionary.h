@@ -63,6 +63,42 @@ class ValuePool {
   uint64_t index_mask_ = 0;
 };
 
+/// An append-only interning pool: each distinct non-null value takes the
+/// next code on first sight, and its code never changes afterwards. Codes
+/// follow arrival order, not Value order, so they answer equality only;
+/// ordering needs a sorted ValuePool (GrowPool keeps one in step). Lookups
+/// probe a flat open-addressing index over cached hashes (slots hold
+/// code+1, 0 = empty), comparing hashes before ever touching a Value, with
+/// no per-value allocation. Nulls take ValuePool::kNullCode.
+class StablePool {
+ public:
+  void Reserve(size_t n);
+
+  size_t size() const { return values_.size(); }
+  const Value& value(uint32_t code) const { return values_[code]; }
+  /// Precomputed Value::Hash() of `value(code)`.
+  uint64_t hash(uint32_t code) const { return hashes_[code]; }
+
+  /// Code of `v`, interning it first when new; kNullCode for null. The
+  /// const& overload copies `v` only when it is new.
+  uint32_t Intern(const Value& v);
+  uint32_t Intern(Value&& v);
+
+  /// Moves the interned values out in code order; the pool is spent
+  /// afterwards (the encode path uses it as a dedup set).
+  std::vector<Value> Take() { return std::move(values_); }
+
+ private:
+  template <typename V>
+  uint32_t InternImpl(V&& v);
+  void Rehash(uint64_t size);
+
+  std::vector<uint32_t> slots_;
+  uint64_t mask_ = 0;
+  std::vector<Value> values_;
+  std::vector<uint64_t> hashes_;
+};
+
 /// One dictionary-encoded column: a shared pool plus per-partition dense
 /// code vectors aligned with the source dataset's partitions.
 struct EncodedColumn {
@@ -86,16 +122,15 @@ struct EncodedColumnSet {
 EncodedColumnSet EncodeColumns(const Dataset<Row>& data,
                                const std::vector<std::vector<size_t>>& groups);
 
-/// Pool-growth policy for long-lived encodings (stream sessions): pools are
-/// append-only in *value set* but not in *code assignment* — growing merges
-/// the fresh values into the sorted order, producing a new pool whose codes
-/// are a monotone remap of the old ones. `old_to_new[c]` is the new code of
-/// old code `c` (old-code order is preserved, codes only shift upward), so a
-/// holder of per-row code vectors re-encodes in O(rows) without touching a
-/// Value, and bound kernels simply re-Bind against the new pool (constant
-/// positions shift with the same map). `fresh` may contain nulls and
-/// duplicates (both ignored); values already pooled are ignored. Returns the
-/// old pool unchanged (and an identity map) when nothing new was added.
+/// Grows a sorted pool by `fresh`: the result holds the union in Value
+/// order, so old codes shift upward monotonically. `old_to_new[c]` is the
+/// new code of old code `c`. A stream session keeps its rows' codes stable
+/// (StablePool) and composes this map into its O(pool) stable -> sorted
+/// translation instead of rewriting any stored code; kernels bound to the
+/// old pool re-Bind against the new one (constant positions move with the
+/// same map). `fresh` may contain nulls and duplicates (both ignored);
+/// values already pooled are ignored. Returns the old pool unchanged (and
+/// an identity map) when nothing new was added.
 std::shared_ptr<const ValuePool> GrowPool(
     std::shared_ptr<const ValuePool> base, const std::vector<Value>& fresh,
     std::vector<uint32_t>* old_to_new);

@@ -155,6 +155,23 @@ TEST(ValuePoolTest, CodesPreserveOrderEqualityAndHashes) {
   }
 }
 
+TEST(StablePoolTest, CodesFollowArrivalOrderAndNeverChange) {
+  StablePool pool;
+  EXPECT_EQ(pool.Intern(Value(int64_t{50})), 0u);
+  EXPECT_EQ(pool.Intern(Value(int64_t{1})), 1u);
+  EXPECT_EQ(pool.Intern(Value(5.0)), 2u);
+  EXPECT_EQ(pool.Intern(Value(int64_t{5})), 2u);  // int 5 == double 5.0
+  EXPECT_EQ(pool.Intern(Value::Null()), ValuePool::kNullCode);
+  // Growing past the initial index keeps every earlier code.
+  for (int64_t v = 100; v < 200; ++v) pool.Intern(Value(v));
+  EXPECT_EQ(pool.size(), 103u);
+  EXPECT_EQ(pool.Intern(Value(int64_t{50})), 0u);
+  EXPECT_EQ(pool.Intern(Value(int64_t{1})), 1u);
+  for (uint32_t c = 0; c < pool.size(); ++c) {
+    EXPECT_EQ(pool.hash(c), pool.value(c).Hash());
+  }
+}
+
 TEST(KernelRegistryTest, CompilesDeclarativeRulesRejectsUdfAndSimilarity) {
   Table table = PaperTable();
   auto fd = *ParseRule("f: FD: zipcode -> city");

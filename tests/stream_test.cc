@@ -60,9 +60,11 @@ struct InjectorGuard {
 /// `batches` micro-batches, flushes, and returns the repaired bytes.
 std::string StreamedFingerprint(const Table& dirty,
                                 const std::vector<RulePtr>& rules,
-                                size_t batches, StreamOptions options) {
+                                size_t batches, StreamOptions options,
+                                bool kernels = true) {
   Table streamed(dirty.schema());
   ExecutionContext ctx(4);
+  ctx.set_kernels_enabled(kernels);
   BigDansing system(&ctx);
   auto session = system.OpenStream(&streamed, rules, options);
   EXPECT_TRUE(session.ok()) << session.status().ToString();
@@ -181,6 +183,103 @@ TEST(Stream, AppendThenRetractLeavesIndexBitIdentical) {
   EXPECT_EQ((*session)->IndexFingerprints(), baseline);
 }
 
+TEST(Stream, InteriorRetractMatchesFreshBuild) {
+  // Retracting interior rows shifts every later row's table position: the
+  // compacted index must equal a fresh build over the survivors, and both
+  // sessions must clean the survivors exactly as Clean() does.
+  auto data = GenerateTaxA(1500, 0.1, /*seed=*/53);
+  auto rules = TaxRules();
+  ExecutionContext ctx(4);
+  BigDansing system(&ctx);
+
+  Table working = data.dirty;
+  auto session = system.OpenStream(&working, rules, StreamOptions{});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<RowId> retracted;
+  Table survivors(data.dirty.schema());
+  for (const Row& row : data.dirty.rows()) {
+    if (row.id() % 3 == 1) {
+      retracted.push_back(row.id());
+    } else {
+      survivors.AppendRowWithId(row);
+    }
+  }
+  ASSERT_TRUE((*session)->Retract(retracted).ok());
+  ASSERT_EQ(working.num_rows(), survivors.num_rows());
+  EXPECT_EQ(Fingerprint(working), Fingerprint(survivors));
+
+  Table fresh_table = survivors;
+  auto fresh = system.OpenStream(&fresh_table, rules, StreamOptions{});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ((*session)->IndexFingerprints(), (*fresh)->IndexFingerprints());
+
+  Table reference = survivors;
+  auto report = system.Clean(&reference, rules);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->converged);
+
+  auto flush = (*session)->Flush();
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  EXPECT_TRUE(flush->converged);
+  auto fresh_flush = (*fresh)->Flush();
+  ASSERT_TRUE(fresh_flush.ok()) << fresh_flush.status().ToString();
+  EXPECT_EQ(Fingerprint(working), Fingerprint(fresh_table));
+  EXPECT_EQ(Fingerprint(working), Fingerprint(reference));
+  EXPECT_EQ((*session)->IndexFingerprints(), (*fresh)->IndexFingerprints());
+}
+
+TEST(Stream, PrescreenExactUnderAppendOrderCodes) {
+  // The kernel prescreen compares salary and rate by value order. Here the
+  // values arrive out of order (salary 1, 100, then 50; rate 4 before 5),
+  // so codes handed out in arrival order disagree with value order, and a
+  // prescreen reading them would let the non-violating block {(B,100,5),
+  // (B,50,4)} through.
+  auto rule = *ParseRule(
+      "phiS: DC: t1.state = t2.state & t1.salary > t2.salary & "
+      "t1.rate < t2.rate");
+  auto row = [](RowId id, const char* state, int64_t salary, int64_t rate) {
+    return Row(id, {Value(std::string(state)), Value(salary), Value(rate)});
+  };
+  for (bool kernels : {true, false}) {
+    Table table(Schema({"state", "salary", "rate"}));
+    ExecutionContext ctx(2);
+    ctx.set_kernels_enabled(kernels);
+    BigDansing system(&ctx);
+    auto session = system.OpenStream(&table, {rule}, StreamOptions{});
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE((*session)->Append({row(0, "A", 1, 4), row(1, "B", 100, 5)})
+                    .ok());
+    auto first = (*session)->Poll();
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE((*session)->Append({row(2, "B", 50, 4)}).ok());
+    auto second = (*session)->Poll();
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second->violations, 0u);
+    // Only the kernel prescreen can prove block B clean without detecting.
+    EXPECT_EQ(second->candidate_rows, kernels ? 0u : 2u)
+        << "kernels " << (kernels ? "on" : "off");
+  }
+
+  // TaxB end to end: kernels on ≡ kernels off ≡ Clean(), byte for byte.
+  auto data = GenerateTaxB(900, 0.05, /*seed=*/61);
+  ExecutionContext ref_ctx(4);
+  BigDansing ref_system(&ref_ctx);
+  Table reference = data.dirty;
+  auto report = ref_system.Clean(&reference, {rule});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->converged);
+  for (size_t batches : {size_t{1}, size_t{7}}) {
+    StreamOptions options;
+    options.batch_rows = 100000;
+    const std::string on =
+        StreamedFingerprint(data.dirty, {rule}, batches, options, true);
+    const std::string off =
+        StreamedFingerprint(data.dirty, {rule}, batches, options, false);
+    EXPECT_EQ(on, off) << batches << " batches";
+    EXPECT_EQ(on, Fingerprint(reference)) << batches << " batches";
+  }
+}
+
 TEST(Stream, RetractionRemovesViolationsBeforeTheyLand) {
   auto table = ReadCsvString(
       "zipcode,city\n10001,ny\n10001,ny\n20001,dc\n20001,dc\n", CsvOptions{});
@@ -218,6 +317,40 @@ TEST(Stream, RetractionRemovesViolationsBeforeTheyLand) {
   ASSERT_TRUE(verify.ok());
   EXPECT_TRUE(verify->converged);
   EXPECT_EQ((*table).num_rows(), 4u);
+}
+
+TEST(Stream, BlocksRepairedByFlushVerificationStayWatched) {
+  auto table = ReadCsvString(
+      "zipcode,city\n10001,ny\n10001,ny\n10001,ny\n20001,dc\n", CsvOptions{});
+  ASSERT_TRUE(table.ok());
+  auto rule = *ParseRule("f: FD: zipcode -> city");
+  ExecutionContext ctx(2);
+  BigDansing system(&ctx);
+  auto session = system.OpenStream(&*table, {rule}, StreamOptions{});
+  ASSERT_TRUE(session.ok());
+  auto drained = (*session)->Flush();
+  ASSERT_TRUE(drained.ok());
+  EXPECT_EQ(drained->total_applied_fixes, 0u);
+
+  // A cell edited behind the session's back: no window sees it, so only
+  // the whole-table verification pass finds and repairs it, re-keying a
+  // row of block 10001.
+  table->mutable_row(1).set_value(1, Value::Parse("la"));
+  auto verified = (*session)->Flush();
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(verified->converged);
+  EXPECT_GT(verified->total_applied_fixes, 0u);
+
+  // Block 10001 must still be watched: a conflicting append there is
+  // caught by the very next window.
+  ASSERT_TRUE(
+      (*session)
+          ->Append({Row(99, {Value::Parse("10001"), Value::Parse("zz")})})
+          .ok());
+  auto poll = (*session)->Poll();
+  ASSERT_TRUE(poll.ok());
+  EXPECT_GT(poll->violations, 0u);
+  EXPECT_EQ(table->row(4).value(1).ToString(), "ny");
 }
 
 TEST(Stream, NonBlockingBackpressureRejectsWholeAppend) {
