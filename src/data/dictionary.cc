@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "obs/profiler.h"
 
 namespace bigdansing {
@@ -10,87 +11,32 @@ namespace {
 
 bool ValueLess(const Value& a, const Value& b) { return a.Compare(b) < 0; }
 
-uint64_t NextPow2(uint64_t n) {
-  uint64_t p = 16;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
-ValuePool::ValuePool(std::vector<Value> values)
-    : values_(std::move(values)) {
-  hashes_.reserve(values_.size());
-  for (const Value& v : values_) hashes_.push_back(v.Hash());
-  const uint64_t size = NextPow2(2 * values_.size() + 16);
-  index_.assign(size, 0);
-  index_mask_ = size - 1;
-  for (uint32_t code = 0; code < values_.size(); ++code) {
-    uint64_t i = hashes_[code] & index_mask_;
-    while (index_[i]) i = (i + 1) & index_mask_;
-    index_[i] = code + 1;
+ValuePool::ValuePool(std::vector<Value> values) : values_(values.size()) {
+  for (Value& v : values) {
+    const uint32_t code = values_.Intern(std::move(v));
+    BD_CHECK(code + 1 == values_.size())
+        << "ValuePool input repeats " << values_.key(code).ToString();
   }
 }
 
 uint32_t ValuePool::CodeOf(const Value& v) const {
   if (v.is_null()) return kNullCode;
-  const uint64_t h = v.Hash();
-  uint64_t i = h & index_mask_;
-  while (uint32_t slot = index_[i]) {
-    const uint32_t code = slot - 1;
-    if (hashes_[code] == h && values_[code] == v) return code;
-    i = (i + 1) & index_mask_;
-  }
-  return kAbsentCode;
+  const uint32_t code = values_.Find(v);
+  return code < values_.size() ? code : kAbsentCode;
 }
 
 uint32_t ValuePool::LowerBound(const Value& v) const {
-  auto it = std::lower_bound(values_.begin(), values_.end(), v, ValueLess);
-  return static_cast<uint32_t>(it - values_.begin());
+  auto it = std::lower_bound(values_.keys().begin(), values_.keys().end(), v,
+                             ValueLess);
+  return static_cast<uint32_t>(it - values_.keys().begin());
 }
 
 uint32_t ValuePool::UpperBound(const Value& v) const {
-  auto it = std::upper_bound(values_.begin(), values_.end(), v, ValueLess);
-  return static_cast<uint32_t>(it - values_.begin());
-}
-
-void StablePool::Reserve(size_t n) {
-  values_.reserve(n);
-  hashes_.reserve(n);
-  if (slots_.size() < 2 * n + 16) Rehash(NextPow2(2 * n + 16));
-}
-
-template <typename V>
-uint32_t StablePool::InternImpl(V&& v) {
-  if (v.is_null()) return ValuePool::kNullCode;
-  if ((values_.size() + 1) * 2 > slots_.size()) {
-    Rehash(std::max<uint64_t>(16, 2 * slots_.size()));
-  }
-  const uint64_t h = v.Hash();
-  uint64_t i = h & mask_;
-  while (uint32_t slot = slots_[i]) {
-    const uint32_t code = slot - 1;
-    if (hashes_[code] == h && values_[code] == v) return code;
-    i = (i + 1) & mask_;
-  }
-  const auto code = static_cast<uint32_t>(values_.size());
-  slots_[i] = code + 1;
-  values_.push_back(std::forward<V>(v));
-  hashes_.push_back(h);
-  return code;
-}
-
-uint32_t StablePool::Intern(const Value& v) { return InternImpl(v); }
-uint32_t StablePool::Intern(Value&& v) { return InternImpl(std::move(v)); }
-
-void StablePool::Rehash(uint64_t size) {
-  slots_.assign(size, 0);
-  mask_ = size - 1;
-  for (uint32_t code = 0; code < values_.size(); ++code) {
-    uint64_t i = hashes_[code] & mask_;
-    while (slots_[i]) i = (i + 1) & mask_;
-    slots_[i] = code + 1;
-  }
+  auto it = std::upper_bound(values_.keys().begin(), values_.keys().end(), v,
+                             ValueLess);
+  return static_cast<uint32_t>(it - values_.keys().begin());
 }
 
 EncodedColumnSet EncodeColumns(

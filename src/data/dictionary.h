@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/intern_table.h"
 #include "data/row.h"
 #include "data/value.h"
 #include "dataflow/dataset.h"
@@ -35,9 +36,9 @@ class ValuePool {
   explicit ValuePool(std::vector<Value> values);
 
   size_t size() const { return values_.size(); }
-  const Value& value(uint32_t code) const { return values_[code]; }
+  const Value& value(uint32_t code) const { return values_.key(code); }
   /// Precomputed Value::Hash() of `value(code)`.
-  uint64_t hash(uint32_t code) const { return hashes_[code]; }
+  uint64_t hash(uint32_t code) const { return values_.hash(code); }
 
   /// Code of `v`: kNullCode for null, kAbsentCode when no pooled value
   /// compares equal, else the dense code. O(1): served from a hash index
@@ -53,50 +54,40 @@ class ValuePool {
   uint32_t UpperBound(const Value& v) const;
 
  private:
-  std::vector<Value> values_;
-  std::vector<uint64_t> hashes_;
-  /// value -> code, for O(1) CodeOf (equality lookups dominate: every row
-  /// of every encoded column makes one). Open-addressing over code+1 slots
-  /// (0 = empty) — probing touches a flat array and compares precomputed
-  /// hashes before ever touching a Value, with no per-node allocation.
-  std::vector<uint32_t> index_;
-  uint64_t index_mask_ = 0;
+  /// Values in code order, indexed for O(1) CodeOf (equality lookups
+  /// dominate: every row of every encoded column makes one).
+  InternTable<Value, std::hash<Value>> values_;
 };
 
 /// An append-only interning pool: each distinct non-null value takes the
 /// next code on first sight, and its code never changes afterwards. Codes
 /// follow arrival order, not Value order, so they answer equality only;
-/// ordering needs a sorted ValuePool (GrowPool keeps one in step). Lookups
-/// probe a flat open-addressing index over cached hashes (slots hold
-/// code+1, 0 = empty), comparing hashes before ever touching a Value, with
-/// no per-value allocation. Nulls take ValuePool::kNullCode.
+/// ordering needs a sorted ValuePool (GrowPool keeps one in step). Nulls
+/// take ValuePool::kNullCode.
 class StablePool {
  public:
-  void Reserve(size_t n);
+  void Reserve(size_t n) { values_.Reserve(n); }
 
   size_t size() const { return values_.size(); }
-  const Value& value(uint32_t code) const { return values_[code]; }
+  const Value& value(uint32_t code) const { return values_.key(code); }
   /// Precomputed Value::Hash() of `value(code)`.
-  uint64_t hash(uint32_t code) const { return hashes_[code]; }
+  uint64_t hash(uint32_t code) const { return values_.hash(code); }
 
   /// Code of `v`, interning it first when new; kNullCode for null. The
   /// const& overload copies `v` only when it is new.
-  uint32_t Intern(const Value& v);
-  uint32_t Intern(Value&& v);
+  uint32_t Intern(const Value& v) {
+    return v.is_null() ? ValuePool::kNullCode : values_.Intern(v);
+  }
+  uint32_t Intern(Value&& v) {
+    return v.is_null() ? ValuePool::kNullCode : values_.Intern(std::move(v));
+  }
 
   /// Moves the interned values out in code order; the pool is spent
   /// afterwards (the encode path uses it as a dedup set).
-  std::vector<Value> Take() { return std::move(values_); }
+  std::vector<Value> Take() { return values_.Take(); }
 
  private:
-  template <typename V>
-  uint32_t InternImpl(V&& v);
-  void Rehash(uint64_t size);
-
-  std::vector<uint32_t> slots_;
-  uint64_t mask_ = 0;
-  std::vector<Value> values_;
-  std::vector<uint64_t> hashes_;
+  InternTable<Value, std::hash<Value>> values_;
 };
 
 /// One dictionary-encoded column: a shared pool plus per-partition dense

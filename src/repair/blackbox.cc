@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "common/lineage.h"
 #include "common/stopwatch.h"
@@ -18,6 +19,12 @@
 namespace bigdansing {
 
 namespace {
+
+/// Packing of small components into repair:components tasks: each task
+/// aims at total_edges / (kTasksPerWorker x workers) hyperedges, and at
+/// least kMinTaskEdges.
+constexpr size_t kTasksPerWorker = 4;
+constexpr size_t kMinTaskEdges = 256;
 
 /// Attributes each assignment of one repaired component to the first
 /// violation (by input index) whose fixes mention the assigned cell —
@@ -69,7 +76,10 @@ void RepairSplitComponent(ExecutionContext* ctx,
   }
   std::vector<std::vector<uint64_t>> edge_nodes;
   edge_nodes.reserve(component_edges.size());
-  for (size_t e : component_edges) edge_nodes.push_back(graph.edge_nodes(e));
+  for (size_t e : component_edges) {
+    std::span<const uint64_t> nodes = graph.edge_nodes(e);
+    edge_nodes.emplace_back(nodes.begin(), nodes.end());
+  }
   std::vector<size_t> part_of = GreedyKWayPartition(edge_nodes, options.kway_parts);
   size_t k = 1 + *std::max_element(part_of.begin(), part_of.end());
   if (span) span->Annotate("parts", static_cast<uint64_t>(k));
@@ -172,15 +182,20 @@ RepairPassResult BlackBoxRepair(
         s, setup_seconds / static_cast<double>(ctx->num_workers()));
   }
 
-  // Independent repair instance per component, scheduled on the pool. Each
-  // task returns its outcome buffer (retryable: the algorithm is stateless
-  // and the graph/group inputs are immutable), and the executor commits
-  // exactly one outcome per component. Components are not row-splittable
-  // (a repair instance needs its whole component), so this stage keeps
-  // task granularity; to curb stragglers the tasks are dispatched largest
-  // component first (LPT order) while outcomes commit under the original
-  // component index, keeping the applied-fix order independent of the
-  // schedule.
+  // Independent repair instance per component, scheduled on the pool.
+  // Components are not row-splittable (a repair instance needs its whole
+  // component), so the stage's unit is a task of whole components. Each
+  // task returns its outcome buffers (retryable: the algorithm is stateless
+  // and the graph/group inputs are immutable), and every outcome commits
+  // under its original component index, keeping the applied-fix order
+  // independent of the schedule.
+  //
+  // To curb stragglers, tasks take components largest first (LPT order).
+  // Walking that order, consecutive small components are packed into one
+  // task of up to `target` hyperedges, so thousands of one-edge components
+  // do not each pay a task's scheduling and accounting. Repair cost is
+  // superlinear in component size, so a component of `target` edges or
+  // more, or one that will be split, runs as a task of its own.
   struct ComponentOutcome {
     std::vector<CellAssignment> assignments;
     size_t undone = 0;
@@ -191,32 +206,60 @@ RepairPassResult BlackBoxRepair(
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return groups[a].size() > groups[b].size();
   });
-  auto outcomes = StageExecutor(ctx).RunProducing<ComponentOutcome>(
-      "repair:components", groups.size(), [&](size_t t, TaskContext& tc) {
-        const size_t g = order[t];
-        ComponentOutcome out;
-        tc.records_in = groups[g].size();
-        if (groups[g].size() > options.max_component_edges) {
-          out.split = true;
-          RepairSplitComponent(ctx, graph, groups[g], algorithm, options,
-                               &out.assignments, &out.undone);
-          tc.records_out = out.assignments.size();
-          return out;
-        }
+  size_t total_edges = 0;
+  for (const auto& group : groups) total_edges += group.size();
+  const size_t target = std::max(
+      kMinTaskEdges, total_edges / (kTasksPerWorker * ctx->num_workers()));
+  // Task t repairs components order[task_begin[t] .. task_begin[t + 1]).
+  std::vector<size_t> task_begin;
+  size_t fill = 0;
+  bool open = false;  // Whether the last task takes more components.
+  for (size_t i = 0; i < order.size(); ++i) {
+    const size_t size = groups[order[i]].size();
+    const bool alone = size >= target || size > options.max_component_edges;
+    if (!open || alone || fill + size > target) {
+      task_begin.push_back(i);
+      fill = 0;
+    }
+    fill += size;
+    open = !alone;
+  }
+  const size_t num_tasks = task_begin.size();
+  task_begin.push_back(order.size());
+
+  using TaskOutcomes = std::vector<ComponentOutcome>;
+  auto outcomes = StageExecutor(ctx).RunProducing<TaskOutcomes>(
+      "repair:components", num_tasks, [&](size_t t, TaskContext& tc) {
+        TaskOutcomes outs(task_begin[t + 1] - task_begin[t]);
         std::vector<const ViolationWithFixes*> edges;
-        edges.reserve(groups[g].size());
-        for (size_t e : groups[g]) edges.push_back(&graph.edge(e));
-        out.assignments = algorithm.RepairComponent(edges);
-        tc.records_out = out.assignments.size();
-        return out;
+        for (size_t j = 0; j < outs.size(); ++j) {
+          const std::vector<size_t>& group = groups[order[task_begin[t] + j]];
+          ComponentOutcome& out = outs[j];
+          tc.records_in += group.size();
+          if (group.size() > options.max_component_edges) {
+            out.split = true;
+            RepairSplitComponent(ctx, graph, group, algorithm, options,
+                                 &out.assignments, &out.undone);
+          } else {
+            edges.clear();
+            for (size_t e : group) edges.push_back(&graph.edge(e));
+            out.assignments = algorithm.RepairComponent(edges);
+          }
+          tc.records_out += out.assignments.size();
+        }
+        return outs;
       });
   if (!outcomes.ok()) throw StageError(outcomes.status());
 
-  std::vector<size_t> slot_of(groups.size());
-  for (size_t t = 0; t < order.size(); ++t) slot_of[order[t]] = t;
+  std::vector<ComponentOutcome*> outcome_of(groups.size());
+  for (size_t t = 0; t < num_tasks; ++t) {
+    for (size_t i = task_begin[t]; i < task_begin[t + 1]; ++i) {
+      outcome_of[order[i]] = &(*outcomes)[t][i - task_begin[t]];
+    }
+  }
   const bool lineage_on = ProvenanceTrackingEnabled();
   for (size_t g = 0; g < groups.size(); ++g) {
-    ComponentOutcome& out = (*outcomes)[slot_of[g]];
+    ComponentOutcome& out = *outcome_of[g];
     result.num_split_components += out.split ? 1 : 0;
     result.num_undone += out.undone;
     if (lineage_on) {

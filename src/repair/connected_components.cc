@@ -1,79 +1,36 @@
 #include "repair/connected_components.h"
 
 #include <algorithm>
+#include <unordered_map>
 
+#include "common/logging.h"
 #include "dataflow/dataset.h"
 
 namespace bigdansing {
 
-namespace {
-
-/// Union-find over arbitrary uint64 ids with path compression and union by
-/// smaller root id (so the representative is the minimum id, matching BSP).
-class UnionFind {
- public:
-  uint64_t Find(uint64_t x) {
-    auto it = parent_.find(x);
-    if (it == parent_.end()) {
-      parent_.emplace(x, x);
-      return x;
-    }
-    // Path compression (iterative to avoid deep recursion).
-    uint64_t root = x;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[x] != root) {
-      uint64_t next = parent_[x];
-      parent_[x] = root;
-      x = next;
-    }
-    return root;
-  }
-
-  void Union(uint64_t a, uint64_t b) {
-    uint64_t ra = Find(a);
-    uint64_t rb = Find(b);
-    if (ra == rb) return;
-    // The smaller id becomes the root so component ids are minima.
-    if (ra < rb) {
-      parent_[rb] = ra;
-    } else {
-      parent_[ra] = rb;
-    }
-  }
-
-  const std::unordered_map<uint64_t, uint64_t>& nodes() const {
-    return parent_;
-  }
-
- private:
-  std::unordered_map<uint64_t, uint64_t> parent_;
-};
-
-}  // namespace
-
 ComponentLabels UnionFindConnectedComponents(
-    const std::vector<uint64_t>& nodes,
-    const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
-  UnionFind uf;
-  for (uint64_t n : nodes) uf.Find(n);
-  for (const auto& [a, b] : edges) uf.Union(a, b);
-  ComponentLabels labels;
-  for (const auto& [node, _] : uf.nodes()) {
-    labels[node] = uf.Find(node);
+    size_t num_nodes, const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
+  DenseUnionFind uf(num_nodes);
+  for (const auto& [a, b] : edges) {
+    BD_CHECK(a < num_nodes && b < num_nodes)
+        << "edge (" << a << ", " << b << ") outside " << num_nodes
+        << " dense node ids";
+    uf.Union(a, b);
   }
-  return labels;
+  return uf.Labels();
 }
 
 ComponentLabels BspConnectedComponents(
-    ExecutionContext* ctx, const std::vector<uint64_t>& nodes,
+    ExecutionContext* ctx, size_t num_nodes,
     const std::vector<std::pair<uint64_t, uint64_t>>& edges) {
   // Initial labels: every node is its own component.
   std::vector<std::pair<uint64_t, uint64_t>> label_records;
-  label_records.reserve(nodes.size());
-  for (uint64_t n : nodes) label_records.emplace_back(n, n);
+  label_records.reserve(num_nodes);
+  for (uint64_t n = 0; n < num_nodes; ++n) label_records.emplace_back(n, n);
   for (const auto& [a, b] : edges) {
-    label_records.emplace_back(a, a);
-    label_records.emplace_back(b, b);
+    BD_CHECK(a < num_nodes && b < num_nodes)
+        << "edge (" << a << ", " << b << ") outside " << num_nodes
+        << " dense node ids";
   }
   auto min_fn = [](uint64_t a, uint64_t b) { return std::min(a, b); };
   Dataset<std::pair<uint64_t, uint64_t>> labels =
@@ -120,8 +77,8 @@ ComponentLabels BspConnectedComponents(
     if (!changed) break;
   }
 
-  ComponentLabels out;
-  for (const auto& kv : labels.Collect()) out.insert(kv);
+  ComponentLabels out(num_nodes);
+  for (const auto& [node, label] : labels.Collect()) out[node] = label;
   return out;
 }
 

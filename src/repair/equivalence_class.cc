@@ -1,8 +1,6 @@
 #include "repair/equivalence_class.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,92 +11,114 @@
 #include "obs/quality.h"
 #include "dataflow/dataset.h"
 #include "repair/connected_components.h"
+#include "repair/hypergraph.h"
 
 namespace bigdansing {
 
-namespace {
-
-/// Value vote tally with deterministic winner selection: highest count,
-/// ties broken toward the smaller value. std::map keeps value order.
-Value WinningValue(const std::map<Value, size_t>& votes) {
-  Value best;
-  size_t best_count = 0;
-  for (const auto& [value, count] : votes) {
-    if (count > best_count) {
-      best = value;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 std::vector<CellAssignment> EquivalenceClassAlgorithm::RepairComponent(
     const std::vector<const ViolationWithFixes*>& edges) const {
-  // Dense ids for the cells touched by equality fixes.
-  std::unordered_map<CellRef, size_t, CellRefHash> ids;
-  std::vector<CellRef> cells;
-  std::vector<Value> current;  // Current (dirty) value per cell.
+  // Dense ids for the cells touched by equality fixes, in order of first
+  // mention; a cell's current (dirty) value is the one that mention
+  // carries. Per fix, the ids of its sides; a `cell = constant` fix keeps
+  // its constant instead.
+  constexpr uint32_t kConstant = static_cast<uint32_t>(-1);
+  struct EqFix {
+    uint32_t left;
+    uint32_t right;  // kConstant for `cell = constant`.
+    const Value* constant;
+  };
+  CellInterner ids;
+  std::vector<const Value*> current;
   auto intern = [&](const Cell& c) {
-    auto [it, inserted] = ids.emplace(c.ref, cells.size());
-    if (inserted) {
-      cells.push_back(c.ref);
-      current.push_back(c.value);
-    }
-    return it->second;
+    const uint32_t id = ids.Intern(c.ref);
+    if (id == current.size()) current.push_back(&c.value);
+    return id;
   };
-
-  // Union cells linked by `cell = cell` fixes; remember `cell = constant`.
-  std::vector<size_t> parent;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto ensure = [&](size_t id) {
-    while (parent.size() <= id) parent.push_back(parent.size());
-  };
-  std::vector<std::pair<size_t, Value>> constant_votes;
+  std::vector<EqFix> fixes;
   for (const ViolationWithFixes* vf : edges) {
     for (const Fix& fix : vf->fixes) {
       if (fix.op != FixOp::kEq) continue;  // EC consumes equality fixes only.
-      size_t left = intern(fix.left);
-      ensure(left);
+      const uint32_t left = intern(fix.left);
       if (fix.right.is_cell) {
-        size_t right = intern(fix.right.cell);
-        ensure(right);
-        size_t a = find(left);
-        size_t b = find(right);
-        if (a != b) parent[std::max(a, b)] = std::min(a, b);
+        fixes.push_back({left, intern(fix.right.cell), nullptr});
       } else {
-        constant_votes.emplace_back(left, fix.right.constant);
+        fixes.push_back({left, kConstant, &fix.right.constant});
       }
     }
   }
+  const size_t n = current.size();
 
-  // Tally votes per class: one vote per member's current value, plus one
-  // per (cell, constant) fix.
-  std::unordered_map<size_t, std::map<Value, size_t>> votes;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    votes[find(i)][current[i]] += 1;
+  // Union cells linked by `cell = cell` fixes.
+  DenseUnionFind classes(n);
+  for (const EqFix& f : fixes) {
+    if (f.right != kConstant) classes.Union(f.left, f.right);
   }
-  std::unordered_set<uint64_t> seen_constant;
-  for (const auto& [cell_id, value] : constant_votes) {
-    uint64_t key = StableHashUint64(cell_id) ^ value.Hash();
-    if (!seen_constant.insert(key).second) continue;  // Count once.
-    votes[find(cell_id)][value] += 1;
+  const ComponentLabels class_of = classes.Labels();
+
+  // Votes: one per member's current value, plus one per distinct
+  // (cell, constant) of `cell = constant` fixes. Sorting by (class, value)
+  // lines up each tally; within a run, member votes come first and
+  // constant votes by cell, so a repeated (cell, constant) is counted once.
+  // `seq` is the vote's position in that member-then-constant order: the
+  // earliest vote of a run supplies the value assigned (int 1 and double
+  // 1.0 tally together but stay distinguishable).
+  struct Vote {
+    uint32_t cls;
+    uint32_t cell;
+    uint32_t seq;
+    bool constant;
+    const Value* value;
+  };
+  std::vector<Vote> votes;
+  votes.reserve(n + fixes.size());
+  for (uint32_t i = 0; i < n; ++i) {
+    votes.push_back({static_cast<uint32_t>(class_of[i]), i, i, false,
+                     current[i]});
+  }
+  for (const EqFix& f : fixes) {
+    if (f.right != kConstant) continue;
+    votes.push_back({static_cast<uint32_t>(class_of[f.left]), f.left,
+                     static_cast<uint32_t>(votes.size()), true, f.constant});
+  }
+  std::sort(votes.begin(), votes.end(), [](const Vote& a, const Vote& b) {
+    if (a.cls != b.cls) return a.cls < b.cls;
+    if (const int c = a.value->Compare(*b.value); c != 0) return c < 0;
+    if (a.constant != b.constant) return !a.constant;
+    if (a.cell != b.cell) return a.cell < b.cell;
+    return a.seq < b.seq;
+  });
+
+  // Winner per class: the highest count, ties broken toward the smaller
+  // value (runs arrive in ascending value order).
+  std::vector<const Value*> target(n, nullptr);
+  std::vector<size_t> target_count(n, 0);
+  for (size_t begin = 0; begin < votes.size();) {
+    const Vote& head = votes[begin];
+    size_t count = 0;
+    const Vote* earliest = &head;
+    size_t end = begin;
+    for (; end < votes.size() && votes[end].cls == head.cls &&
+           votes[end].value->Compare(*head.value) == 0;
+         ++end) {
+      const Vote& v = votes[end];
+      const bool repeat = end > begin && v.constant &&
+                          votes[end - 1].constant &&
+                          votes[end - 1].cell == v.cell;
+      if (!repeat) ++count;
+      if (v.seq < earliest->seq) earliest = &v;
+    }
+    if (count > target_count[head.cls]) {
+      target_count[head.cls] = count;
+      target[head.cls] = earliest->value;
+    }
+    begin = end;
   }
 
   // Assign the winning value to members that differ.
   std::vector<CellAssignment> out;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Value target = WinningValue(votes[find(i)]);
-    if (current[i] != target) {
-      out.push_back(CellAssignment{cells[i], target});
-    }
+  for (uint32_t i = 0; i < n; ++i) {
+    const Value& t = *target[class_of[i]];
+    if (*current[i] != t) out.push_back(CellAssignment{ids.key(i), t});
   }
   return out;
 }
@@ -152,13 +172,11 @@ std::vector<CellAssignment> DistributedEquivalenceClassRepair(
 
   // Equivalence classes = connected components of the equality graph,
   // computed with the BSP kernel (GraphX role).
-  std::vector<uint64_t> nodes(cells.size());
-  for (uint64_t i = 0; i < nodes.size(); ++i) nodes[i] = i;
   std::optional<ScopedSpan> cc_span;
   if (trace.enabled()) {
     cc_span.emplace("repair:ec-connected-components", "operator");
   }
-  ComponentLabels labels = BspConnectedComponents(ctx, nodes, edges);
+  ComponentLabels labels = BspConnectedComponents(ctx, cells.size(), edges);
   cc_span.reset();
 
   // First map-reduce sequence: ((class, value), 1) -> counts.
@@ -178,10 +196,9 @@ std::vector<CellAssignment> DistributedEquivalenceClassRepair(
   for (uint64_t i = 0; i < cells.size(); ++i) {
     votes.emplace_back(CountKey{labels.at(i), current[i]}, 1);
   }
-  std::unordered_set<uint64_t> seen_constant;
+  std::unordered_set<CountKey, KeyHash> seen_constant;
   for (const auto& [cell_id, value] : constant_votes) {
-    uint64_t key = StableHashUint64(cell_id) ^ value.Hash();
-    if (!seen_constant.insert(key).second) continue;
+    if (!seen_constant.insert(CountKey{cell_id, value}).second) continue;
     votes.emplace_back(CountKey{labels.at(cell_id), value}, 1);
   }
   std::optional<ScopedSpan> mr1_span;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
+#include "common/fault.h"
+#include "common/lineage.h"
 #include "core/bigdansing.h"
 #include "core/rule_engine.h"
 #include "data/csv.h"
@@ -41,8 +45,7 @@ ViolationWithFixes EqViolation(RowId r1, RowId r2, size_t col, Value v1,
 }
 
 TEST(ConnectedComponents, UnionFindBasics) {
-  auto labels = UnionFindConnectedComponents({0, 1, 2, 3, 4},
-                                             {{0, 1}, {1, 2}, {3, 4}});
+  auto labels = UnionFindConnectedComponents(5, {{0, 1}, {1, 2}, {3, 4}});
   EXPECT_EQ(labels.at(0), labels.at(1));
   EXPECT_EQ(labels.at(1), labels.at(2));
   EXPECT_EQ(labels.at(3), labels.at(4));
@@ -53,18 +56,17 @@ TEST(ConnectedComponents, UnionFindBasics) {
 
 TEST(ConnectedComponents, BspMatchesUnionFind) {
   // A chain (worst-case diameter), a star, and isolated nodes.
-  std::vector<uint64_t> nodes;
+  const size_t num_nodes = 30;
   std::vector<std::pair<uint64_t, uint64_t>> edges;
-  for (uint64_t i = 0; i < 30; ++i) nodes.push_back(i);
   for (uint64_t i = 9; i > 0; --i) edges.emplace_back(i, i - 1);  // Chain 0-9.
   for (uint64_t i = 11; i < 20; ++i) edges.emplace_back(10, i);   // Star.
   // 20..29 isolated.
   ExecutionContext ctx(4);
-  auto bsp = BspConnectedComponents(&ctx, nodes, edges);
-  auto uf = UnionFindConnectedComponents(nodes, edges);
+  auto bsp = BspConnectedComponents(&ctx, num_nodes, edges);
+  auto uf = UnionFindConnectedComponents(num_nodes, edges);
   ASSERT_EQ(bsp.size(), uf.size());
-  for (const auto& [node, label] : uf) {
-    EXPECT_EQ(bsp.at(node), label) << "node " << node;
+  for (uint64_t node = 0; node < uf.size(); ++node) {
+    EXPECT_EQ(bsp.at(node), uf[node]) << "node " << node;
   }
 }
 
@@ -81,6 +83,48 @@ TEST(Hypergraph, GroupsEdgesByComponent) {
   // First two violations share cell (1,2).
   EXPECT_EQ(groups[0].size(), 2u);
   EXPECT_EQ(groups[1].size(), 1u);
+
+  // Interleaved components: groups come in ascending component-id order
+  // (a component's id is its smallest node id) and list their hyperedges
+  // in ascending order.
+  std::vector<ViolationWithFixes> interleaved;
+  interleaved.push_back(EqViolation(10, 11, 0, Value("a"), Value("b")));
+  interleaved.push_back(EqViolation(20, 21, 0, Value("a"), Value("b")));
+  interleaved.push_back(EqViolation(30, 31, 0, Value("a"), Value("b")));
+  interleaved.push_back(EqViolation(31, 21, 0, Value("b"), Value("b")));
+  interleaved.push_back(EqViolation(40, 10, 0, Value("a"), Value("a")));
+  ViolationHypergraph mixed(interleaved);
+  EXPECT_EQ(mixed.NodeOf(CellRef{10, 0}), 0u);
+  EXPECT_EQ(mixed.NodeOf(CellRef{20, 0}), 2u);
+  EXPECT_EQ(mixed.NodeOf(CellRef{40, 0}), 6u);
+  auto mixed_groups = mixed.ConnectedComponentGroups();
+  ASSERT_EQ(mixed_groups.size(), 2u);
+  EXPECT_EQ(mixed_groups[0], (std::vector<size_t>{0, 4}));
+  EXPECT_EQ(mixed_groups[1], (std::vector<size_t>{1, 2, 3}));
+
+  // Node ids follow first appearance across enough distinct cells to grow
+  // the cell table several times; every tenth cell repeats an earlier one.
+  std::vector<ViolationWithFixes> wide;
+  std::map<CellRef, uint64_t> first_seen;
+  RowId next_row = 0;
+  for (size_t v = 0; v < 200; ++v) {
+    ViolationWithFixes vf;
+    vf.violation.rule_name = "wide";
+    for (size_t j = 0; j < 60; ++j) {
+      const RowId row = j % 10 == 9 ? next_row / 2 : next_row++;
+      const size_t col = static_cast<size_t>(row % 3);
+      vf.violation.cells.push_back(MakeTestCell(row, col, Value("x")));
+      first_seen.emplace(CellRef{row, col}, first_seen.size());
+    }
+    wide.push_back(std::move(vf));
+  }
+  ASSERT_GE(first_seen.size(), 10000u);
+  ViolationHypergraph wide_graph(wide);
+  ASSERT_EQ(wide_graph.num_nodes(), first_seen.size());
+  for (const auto& [ref, id] : first_seen) {
+    ASSERT_EQ(wide_graph.NodeOf(ref), id) << ref.ToString();
+    ASSERT_EQ(wide_graph.cell(id), ref);
+  }
 }
 
 TEST(EquivalenceClass, MajorityWins) {
@@ -128,6 +172,36 @@ TEST(EquivalenceClass, ConstantFixesVote) {
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].cell, (CellRef{0, 1}));
   EXPECT_EQ(assignments[0].value, Value("good"));
+
+  // Votes (cell A, 1) and (cell B, 0) are distinct and both count: with
+  // A=5, B=7 and A=B, the class tallies 0, 1, 5 and 7 once each, and the
+  // tie goes to the smallest value, 0.
+  ViolationWithFixes swapped;
+  Cell a = MakeTestCell(0, 0, Value(static_cast<int64_t>(5)));
+  Cell b = MakeTestCell(1, 0, Value(static_cast<int64_t>(7)));
+  swapped.violation.rule_name = "test";
+  swapped.violation.cells = {a, b};
+  Fix a_eq_b;
+  a_eq_b.left = a;
+  a_eq_b.op = FixOp::kEq;
+  a_eq_b.right = FixTerm::MakeCell(b);
+  Fix a_eq_1 = a_eq_b;
+  a_eq_1.right = FixTerm::MakeConstant(Value(static_cast<int64_t>(1)));
+  Fix b_eq_0 = a_eq_1;
+  b_eq_0.left = b;
+  b_eq_0.right = FixTerm::MakeConstant(Value(static_cast<int64_t>(0)));
+  swapped.fixes = {a_eq_b, a_eq_1, b_eq_0};
+  ExecutionContext ctx(2);
+  for (const auto& result :
+       {ec.RepairComponent({&swapped}),
+        DistributedEquivalenceClassRepair(&ctx, {swapped})}) {
+    ASSERT_EQ(result.size(), 2u);
+    EXPECT_EQ(result[0].cell, a.ref);
+    EXPECT_EQ(result[1].cell, b.ref);
+    for (const auto& assignment : result) {
+      EXPECT_EQ(assignment.value, Value(static_cast<int64_t>(0)));
+    }
+  }
 }
 
 TEST(EquivalenceClass, DistributedMatchesCentralized) {
@@ -235,6 +309,164 @@ TEST(BlackBox, SplitComponentProtocolUndoesConflicts) {
     EXPECT_TRUE(cells.insert({a.cell.row_id, a.cell.column}).second)
         << "cell repaired twice: " << a.cell.ToString();
   }
+}
+
+/// The black-box scheme written as a plain loop over the components in
+/// component order: one repair per component, the master/slave protocol
+/// for components over `max_component_edges`, and each assignment
+/// attributed to the first hyperedge of its component whose fixes mention
+/// the assigned cell.
+RepairPassResult PerComponentReference(
+    const std::vector<ViolationWithFixes>& violations,
+    const RepairAlgorithm& algorithm, const BlackBoxOptions& options) {
+  ViolationHypergraph graph(violations);
+  const auto groups = graph.ConnectedComponentGroups();
+  RepairPassResult ref;
+  ref.num_components = groups.size();
+  for (size_t g = 0; g < groups.size(); ++g) {
+    std::vector<CellAssignment> assignments;
+    if (groups[g].size() > options.max_component_edges) {
+      ++ref.num_split_components;
+      std::vector<std::vector<uint64_t>> edge_nodes;
+      for (size_t e : groups[g]) {
+        edge_nodes.emplace_back(graph.edge_nodes(e).begin(),
+                                graph.edge_nodes(e).end());
+      }
+      auto part_of = GreedyKWayPartition(edge_nodes, options.kway_parts);
+      const size_t k = 1 + *std::max_element(part_of.begin(), part_of.end());
+      std::vector<std::vector<const ViolationWithFixes*>> parts(k);
+      for (size_t i = 0; i < groups[g].size(); ++i) {
+        parts[part_of[i]].push_back(&graph.edge(groups[g][i]));
+      }
+      assignments = algorithm.RepairComponent(parts[0]);
+      std::set<CellRef> immutable;
+      for (const auto& a : assignments) immutable.insert(a.cell);
+      for (size_t p = 1; p < k; ++p) {
+        for (const auto& a : algorithm.RepairComponent(parts[p])) {
+          if (immutable.insert(a.cell).second) {
+            assignments.push_back(a);
+          } else {
+            ++ref.num_undone;
+          }
+        }
+      }
+    } else {
+      std::vector<const ViolationWithFixes*> edges;
+      for (size_t e : groups[g]) edges.push_back(&graph.edge(e));
+      assignments = algorithm.RepairComponent(edges);
+    }
+    for (const auto& a : assignments) {
+      auto mentions = [&](size_t i) {
+        const auto& fixes = graph.edge(groups[g][i]).fixes;
+        return std::any_of(fixes.begin(), fixes.end(), [&](const Fix& f) {
+          return f.left.ref == a.cell ||
+                 (f.right.is_cell && f.right.cell.ref == a.cell);
+        });
+      };
+      size_t owner = 0;
+      while (owner < groups[g].size() && !mentions(owner)) ++owner;
+      if (owner == groups[g].size()) owner = 0;
+      FixProvenance p;
+      p.rule = graph.edge(groups[g][owner]).violation.rule_name;
+      p.violation_id = groups[g][owner];
+      p.component = g;
+      p.strategy = algorithm.name();
+      ref.provenance.push_back(p);
+      ref.applied.push_back(a);
+    }
+  }
+  return ref;
+}
+
+TEST(BlackBox, PackedTasksMatchPerComponentReference) {
+  // 300 small components of 1-3 chained edges, a 300-edge chain that is
+  // large enough to run alone, and a 400-edge component over
+  // max_component_edges (a chain plus chords, so the k-way split cuts many
+  // cells) that takes the split protocol. Their edges are interleaved so
+  // components are not contiguous in the input.
+  std::vector<std::vector<ViolationWithFixes>> components;
+  RowId base = 0;
+  auto link = [](RowId a, RowId b, size_t col) {
+    return EqViolation(a, b, col, Value("v" + std::to_string(a % 3)),
+                       Value("v" + std::to_string(b % 3)));
+  };
+  auto chain = [&](RowId edges, size_t col, bool chords) {
+    std::vector<ViolationWithFixes> out;
+    for (RowId i = 0; i < edges; ++i) {
+      out.push_back(link(base + i, base + i + 1, col));
+      const RowId chord = (i * 37 + 11) % (edges + 1);
+      if (chords && chord != i) {
+        out.push_back(link(base + i, base + chord, col));
+      }
+    }
+    base += edges + 1;
+    return out;
+  };
+  for (size_t c = 0; c < 300; ++c) {
+    components.push_back(chain(1 + c % 3, c % 2, /*chords=*/false));
+  }
+  components.push_back(chain(300, 0, /*chords=*/false));
+  components.push_back(chain(200, 1, /*chords=*/true));
+  std::vector<ViolationWithFixes> violations;
+  for (size_t i = 0; i < 400; ++i) {
+    for (const auto& component : components) {
+      if (i < component.size()) violations.push_back(component[i]);
+    }
+  }
+  BlackBoxOptions options;
+  options.max_component_edges = 350;
+
+  // Lineage on (so provenance is compared too) and faults off again when
+  // the test ends, however it ends.
+  struct Guard {
+    Guard() { LineageRecorder::Instance().set_enabled(true); }
+    ~Guard() {
+      LineageRecorder::Instance().set_enabled(false);
+      FaultInjector::Instance().Clear();
+    }
+  } guard;
+  EquivalenceClassAlgorithm ec;
+  const RepairPassResult ref = PerComponentReference(violations, ec, options);
+  ASSERT_EQ(ref.num_components, 302u);
+  ASSERT_EQ(ref.num_split_components, 1u);
+  ASSERT_GT(ref.num_undone, 0u);
+  auto expect_matches = [&](const RepairPassResult& got) {
+    EXPECT_EQ(got.applied, ref.applied);
+    EXPECT_EQ(got.num_components, ref.num_components);
+    EXPECT_EQ(got.num_split_components, ref.num_split_components);
+    EXPECT_EQ(got.num_undone, ref.num_undone);
+    ASSERT_EQ(got.provenance.size(), ref.provenance.size());
+    for (size_t i = 0; i < ref.provenance.size(); ++i) {
+      EXPECT_EQ(got.provenance[i].rule, ref.provenance[i].rule);
+      EXPECT_EQ(got.provenance[i].violation_id,
+                ref.provenance[i].violation_id);
+      EXPECT_EQ(got.provenance[i].component, ref.provenance[i].component);
+      EXPECT_EQ(got.provenance[i].strategy, ref.provenance[i].strategy);
+    }
+  };
+  for (size_t workers : {1, 4}) {
+    ExecutionContext ctx(workers);
+    expect_matches(BlackBoxRepair(&ctx, violations, ec, options));
+  }
+
+  // Retried tasks reproduce their outcomes: the same result under injected
+  // task failures, with the retry budget deepened so a 0.3 fault rate
+  // cannot plausibly exhaust it.
+  FaultInjector& injector = FaultInjector::Instance();
+  FaultPolicy policy;
+  policy.max_attempts = 10;
+  policy.stage_retry_budget = 4096;
+  size_t injected = 0;
+  for (uint64_t seed : {1, 2, 3}) {
+    ASSERT_TRUE(
+        injector.Configure("stage=repair:components,kind=throw,prob=0.3", seed)
+            .ok());
+    ExecutionContext ctx(4);
+    ScopedFaultPolicy scoped(&ctx, policy);
+    expect_matches(BlackBoxRepair(&ctx, violations, ec, options));
+    injected += injector.injected_total();
+  }
+  EXPECT_GT(injected, 0u);
 }
 
 TEST(BlackBox, BspAndUnionFindComponentsAgree) {
