@@ -5,8 +5,11 @@
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/trace.h"
 #include "core/detect_output.h"
+#include "core/iejoin.h"
+#include "core/ocjoin.h"
 #include "dataflow/stage_executor.h"
 #include "rules/detect_kernel.h"
 
@@ -117,8 +120,8 @@ void IterateBlockKernel(const PhysicalRulePlan& plan,
 }  // namespace
 
 bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                       const Dataset<Row>& base, ColumnarCaches* caches,
-                       DetectionResult* result) {
+                       const PlannerOptions& options, const Dataset<Row>& base,
+                       ColumnarCaches* caches, DetectionResult* result) {
   // Eligibility — decided before any stage runs, so a false return leaves
   // the engine free to take the interpreted path untouched.
   if (plan.block_key_fn) return false;  // procedural UDF keys stay interpreted
@@ -127,9 +130,27 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
   if (tmpl == nullptr) return false;
   const bool single = plan.strategy == IterateStrategy::kSingle;
   const bool has_blocking = !plan.blocking_columns.empty();
-  if (plan.strategy == IterateStrategy::kOCJoin && !has_blocking) {
-    // Global inequality self-join: OCJoin/IEJoin own that path.
-    return false;
+  const bool global_join =
+      plan.strategy == IterateStrategy::kOCJoin && !has_blocking;
+  // Global inequality self-join: OCJoin over the kernel's code columns,
+  // its conditions renumbered to kernel slots. IEJoin stays interpreted.
+  std::vector<OrderingCondition> slot_conditions;
+  if (global_join) {
+    if (options.use_iejoin && IEJoinApplicable(plan.ocjoin_conditions)) {
+      return false;
+    }
+    const std::vector<size_t>& slots = tmpl->columns();
+    auto slot_of = [&slots](size_t col) {
+      return static_cast<size_t>(std::find(slots.begin(), slots.end(), col) -
+                                 slots.begin());
+    };
+    for (OrderingCondition c : plan.ocjoin_conditions) {
+      c.left_column = slot_of(c.left_column);
+      c.right_column = slot_of(c.right_column);
+      BD_CHECK(c.left_column < slots.size() && c.right_column < slots.size())
+          << "OCJoin condition outside the kernel's columns";
+      slot_conditions.push_back(c);
+    }
   }
 
   result->plan_description += " [kernel]";
@@ -330,17 +351,21 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
     return true;
   }
 
-  // --- No blocking key: whole-dataset chunk-pair enumeration over flat
-  // contiguous code arrays (partition codes concatenated in Collect order).
-  std::optional<ScopedSpan> op_span;
-  if (trace.enabled()) {
-    op_span.emplace("kernel:iterate|detect|genfix", "operator");
+  // --- No blocking key: flat contiguous code arrays over all rows
+  // (partition codes concatenated in Collect order), a RowRef per position
+  // for materializing matches.
+  const size_t num_slots = tmpl->columns().size();
+  std::vector<RowRef> refs;
+  refs.reserve(base.Count());
+  for (size_t p = 0; p < bparts.size(); ++p) {
+    for (size_t i = 0; i < bparts[p].size(); ++i) {
+      refs.push_back(RowRef{static_cast<uint32_t>(p), static_cast<uint32_t>(i)});
+    }
   }
-  const std::vector<Row> base_rows = base.Collect();
-  std::vector<std::vector<uint32_t>> flat(tmpl->columns().size());
-  for (size_t s = 0; s < tmpl->columns().size(); ++s) {
+  std::vector<std::vector<uint32_t>> flat(num_slots);
+  for (size_t s = 0; s < num_slots; ++s) {
     const EncodedColumn& col = *enc.at(to_base(tmpl->columns()[s]));
-    flat[s].reserve(base_rows.size());
+    flat[s].reserve(refs.size());
     for (const auto& part : col.codes) {
       flat[s].insert(flat[s].end(), part.begin(), part.end());
     }
@@ -349,15 +374,72 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
   flat_ptrs.reserve(flat.size());
   for (const auto& codes : flat) flat_ptrs.push_back(codes.data());
 
-  // Chunking replicated from the interpreted RunUnblocked so tasks, pair
-  // order and therefore violation order line up exactly.
+  if (global_join) {
+    std::optional<ScopedSpan> op_span;
+    if (trace.enabled()) {
+      op_span.emplace("kernel:ocjoin|detect|genfix", "operator");
+    }
+    for (const OrderingCondition& c : slot_conditions) {
+      BD_CHECK(enc.at(to_base(tmpl->columns()[c.left_column]))->pool ==
+               enc.at(to_base(tmpl->columns()[c.right_column]))->pool)
+          << "OCJoin condition columns must share a pool";
+    }
+    std::vector<RowId> ids;
+    ids.reserve(refs.size());
+    for (const RowRef& r : refs) ids.push_back(bparts[r.part][r.idx].id());
+    OCJoinInput input;
+    input.num_rows = refs.size();
+    input.columns = flat_ptrs;
+    input.ids = ids.data();
+    OCJoinOptions oc_options;
+    oc_options.order_conditions_by_selectivity =
+        options.ocjoin_selectivity_ordering;
+    // The join decides the ordering conditions; the kernel decides the
+    // whole DC on each emitted pair, in the join's order, and only matches
+    // are materialized.
+    auto pair_ds = Dataset<PositionPair>::FromVector(
+        ctx, OCJoinPositions(ctx, input, slot_conditions, oc_options,
+                             &result->ocjoin_stats));
+    const auto& pparts = pair_ds.partitions();
+    std::vector<TaskOutput> tasks = pair_ds.RunStageMorsels<TaskOutput>(
+        "kernel:detect|genfix:ocjoin-pairs",
+        [&](size_t p) { return pparts[p].size(); },
+        [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
+          TaskOutput out;
+          const uint32_t* const* cols = flat_ptrs.data();
+          for (size_t i = begin; i < end; ++i) {
+            const auto [a, b] = pparts[p][i];
+            ++out.detect_calls;
+            if (kernel->Matches(CodeTuple{cols, a}, CodeTuple{cols, b})) {
+              Row sa, sb;
+              MaterializePair(*plan.rule, rows.Get(refs[a], &sa),
+                              rows.Get(refs[b], &sb), &out);
+            }
+          }
+          tc.records_in = end - begin;
+          tc.records_out = out.violations.size();
+          return out;
+        },
+        [](size_t, std::vector<TaskOutput>&& pieces) {
+          return MergeTaskPieces(std::move(pieces));
+        });
+    MergeOutputs(&tasks, result);
+    return true;
+  }
+
+  // Whole-dataset chunk-pair enumeration. Chunking replicated from the
+  // interpreted RunUnblocked so tasks, pair order and therefore violation
+  // order line up exactly.
+  std::optional<ScopedSpan> op_span;
+  if (trace.enabled()) {
+    op_span.emplace("kernel:iterate|detect|genfix", "operator");
+  }
+  const size_t num_rows = refs.size();
   const bool unordered = plan.strategy == IterateStrategy::kUCrossProduct &&
                          plan.rule->IsSymmetric();
   size_t num_chunks = std::max<size_t>(1, ctx->num_workers() * 2);
-  if (num_chunks > base_rows.size()) {
-    num_chunks = std::max<size_t>(1, base_rows.size());
-  }
-  const size_t chunk = (base_rows.size() + num_chunks - 1) / num_chunks;
+  if (num_chunks > num_rows) num_chunks = std::max<size_t>(1, num_rows);
+  const size_t chunk = (num_rows + num_chunks - 1) / num_chunks;
   struct ChunkPair {
     size_t i;
     size_t j;
@@ -372,17 +454,17 @@ bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
       [&](size_t t, TaskContext& tc) {
         auto [ci, cj] = chunk_pairs[t];
         const size_t ibegin = ci * chunk;
-        const size_t iend = std::min(base_rows.size(), ibegin + chunk);
+        const size_t iend = std::min(num_rows, ibegin + chunk);
         const size_t jbegin = cj * chunk;
-        const size_t jend = std::min(base_rows.size(), jbegin + chunk);
+        const size_t jend = std::min(num_rows, jbegin + chunk);
         TaskOutput out;
         const uint32_t* const* cols = flat_ptrs.data();
         auto eval = [&](size_t i, size_t j) {
           ++out.detect_calls;
           if (kernel->Matches(CodeTuple{cols, i}, CodeTuple{cols, j})) {
             Row sa, sb;
-            MaterializePair(*plan.rule, rows.Get(base_rows[i], &sa),
-                            rows.Get(base_rows[j], &sb), &out);
+            MaterializePair(*plan.rule, rows.Get(refs[i], &sa),
+                            rows.Get(refs[j], &sb), &out);
           }
         };
         for (size_t i = ibegin; i < iend; ++i) {

@@ -59,15 +59,18 @@ struct ColumnarCaches {
 };
 
 /// Runs one rule's Detect through the columnar kernel path when the rule is
-/// kernelizable (a registered compiler accepts it, no UDF block key, not a
-/// global OCJoin). Appends to `result` and returns true on success; returns
-/// false — without running any stage — when the rule must take the
-/// interpreted path. Output is bit-identical to the interpreted path: the
-/// kernel only decides which candidates match, and violations are
-/// materialized by the rule itself in the same enumeration order.
+/// kernelizable (a registered compiler accepts it, no UDF block key, and
+/// `options` does not route its global inequality join to IEJoin). Appends
+/// to `result` and returns true on success; returns false — without
+/// running any stage — when the rule must take the interpreted path.
+/// Output is bit-identical to the interpreted path: the kernel only decides
+/// which candidates match, and violations are materialized by the rule
+/// itself in the same enumeration order. A global OCJoin rule runs
+/// OCJoinPositions over the kernel's code columns and fills
+/// `result->ocjoin_stats` as the interpreted route does.
 bool TryDetectColumnar(ExecutionContext* ctx, const PhysicalRulePlan& plan,
-                       const Dataset<Row>& base, ColumnarCaches* caches,
-                       DetectionResult* result);
+                       const PlannerOptions& options, const Dataset<Row>& base,
+                       ColumnarCaches* caches, DetectionResult* result);
 
 }  // namespace columnar
 }  // namespace bigdansing

@@ -2,6 +2,8 @@
 #define BIGDANSING_CORE_OCJOIN_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/row.h"
@@ -38,17 +40,47 @@ struct OCJoinStats {
   size_t primary_condition = 0;
 };
 
-/// The self-join over ordering comparisons of §4.3 (Algorithm 2):
-/// 1. range-partitions `rows` on the first condition's primary attribute,
-/// 2. sorts each partition once per condition attribute,
-/// 3. prunes partition pairs whose [min, max] ranges cannot satisfy the
-///    conditions, and
-/// 4. sort-merge joins the surviving pairs in parallel.
+/// The join input in code space. Row positions run 0..num_rows-1.
+struct OCJoinInput {
+  size_t num_rows = 0;
+  /// One code array of `num_rows` entries per condition attribute;
+  /// OrderingCondition::left_column / right_column index this list. Codes
+  /// come from order-preserving ValuePools (code order equals Value order,
+  /// ValuePool::kNullCode marks null), and the two columns of one
+  /// condition share a pool.
+  std::vector<const uint32_t*> columns;
+  /// Row id of each position: two positions with equal ids are one tuple
+  /// and never pair with each other.
+  const RowId* ids = nullptr;
+};
+
+/// An ordered pair (t1, t2) of input positions.
+using PositionPair = std::pair<uint32_t, uint32_t>;
+
+/// The self-join over ordering comparisons of §4.3 (Algorithm 2), run over
+/// dictionary codes:
+/// 1. range-partitions the positions on the first condition's primary
+///    attribute,
+/// 2. sorts each partition by the first condition's two attributes,
+/// 3. prunes partition pairs whose [min, max] code ranges cannot satisfy
+///    the conditions, and
+/// 4. sort-merge joins the surviving pairs in parallel over flat code
+///    arrays.
 ///
-/// Returns every ordered pair (t1, t2) satisfying all conditions, where a
-/// condition reads t1.left_column op t2.right_column. Rows with a null
-/// value in any condition attribute never join. `stats` (optional) receives
-/// execution counters.
+/// Returns every ordered position pair (t1, t2) satisfying all conditions,
+/// where a condition reads t1.left_column op t2.right_column. Positions
+/// with a null code in any condition attribute never join. Because code
+/// order equals Value order, every comparison, and so every sort
+/// permutation and the output order, matches a run of the same algorithm
+/// over the decoded Values. `stats` (optional) receives execution counters.
+std::vector<PositionPair> OCJoinPositions(
+    ExecutionContext* ctx, const OCJoinInput& input,
+    const std::vector<OrderingCondition>& conditions,
+    const OCJoinOptions& options, OCJoinStats* stats = nullptr);
+
+/// OCJoin over rows: dictionary-encodes the condition attributes of `rows`
+/// (columns compared across a condition share one pool), runs
+/// OCJoinPositions, and returns the matching row pairs in its order.
 std::vector<RowPair> OCJoin(ExecutionContext* ctx,
                             const std::vector<Row>& rows,
                             const std::vector<OrderingCondition>& conditions,

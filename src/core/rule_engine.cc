@@ -375,11 +375,11 @@ Result<std::vector<DetectionResult>> RuleEngine::DetectAllImpl(
     // rules with a registered kernel compiler evaluate candidates over
     // dictionary codes encoded straight from base rows — no eager scope
     // stage — and fall through to the interpreted stages below when not
-    // kernelizable (UDF rules, similarity predicates, global OCJoin).
+    // kernelizable (UDF rules, similarity predicates, IEJoin routing).
     // Bit-identical output either way.
     if (ctx_->kernels_enabled() &&
-        columnar::TryDetectColumnar(ctx_, plan, base, &columnar_caches,
-                                    &result)) {
+        columnar::TryDetectColumnar(ctx_, plan, options_, base,
+                                    &columnar_caches, &result)) {
       continue;
     }
 

@@ -1,6 +1,7 @@
 #include "rules/similarity.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -8,10 +9,58 @@
 
 namespace bigdansing {
 
+namespace {
+
+/// Myers/Hyyrö bit-parallel Levenshtein distance for a pattern `a` of 1 to
+/// 64 bytes against text `b`: one 64-bit column of vertical deltas per
+/// text byte instead of a DP row. `peq` entries are initialised only for
+/// the bytes of `a` and `b`, the only ones read.
+size_t BitParallelDistance(std::string_view a, std::string_view b) {
+  uint64_t peq[256];
+  for (unsigned char c : b) peq[c] = 0;
+  for (unsigned char c : a) peq[c] = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    peq[static_cast<unsigned char>(a[i])] |= uint64_t{1} << i;
+  }
+  const uint64_t last = uint64_t{1} << (a.size() - 1);
+  uint64_t pv = ~uint64_t{0};
+  uint64_t mv = 0;
+  size_t score = a.size();
+  for (unsigned char c : b) {
+    const uint64_t eq = peq[c];
+    const uint64_t xv = eq | mv;
+    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+    uint64_t ph = mv | ~(xh | pv);
+    uint64_t mh = pv & xh;
+    if (ph & last) {
+      ++score;
+    } else if (mh & last) {
+      --score;
+    }
+    ph = (ph << 1) | 1;  // row 0 grows by one per text byte
+    mh <<= 1;
+    pv = mh | ~(xv | ph);
+    mv = ph & xv;
+  }
+  return score;
+}
+
+}  // namespace
+
 size_t LevenshteinDistance(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);
-  // `a` is now the shorter string; dp row has |a|+1 entries.
-  std::vector<size_t> row(a.size() + 1);
+  // `a` is now the shorter string.
+  if (a.empty()) return b.size();
+  if (a.size() <= 64) return BitParallelDistance(a, b);
+  // DP over one row of |a|+1 entries, on the stack when it fits.
+  constexpr size_t kStackRow = 256;
+  size_t stack_row[kStackRow];
+  std::vector<size_t> heap_row;
+  size_t* row = stack_row;
+  if (a.size() + 1 > kStackRow) {
+    heap_row.resize(a.size() + 1);
+    row = heap_row.data();
+  }
   for (size_t i = 0; i <= a.size(); ++i) row[i] = i;
   for (size_t j = 1; j <= b.size(); ++j) {
     size_t prev_diag = row[0];

@@ -6,8 +6,10 @@
 
 namespace bigdansing {
 
-/// Levenshtein edit distance between `a` and `b` (insert/delete/substitute,
-/// unit costs). O(|a|*|b|) time, O(min) space.
+/// Levenshtein edit distance between `a` and `b` over bytes
+/// (insert/delete/substitute, unit costs). Bit-parallel in O(max) time
+/// when the shorter string has at most 64 bytes, else an O(|a|*|b|) DP
+/// over one row of O(min) space.
 size_t LevenshteinDistance(std::string_view a, std::string_view b);
 
 /// Normalized Levenshtein similarity in [0, 1]: 1 - dist / max(|a|, |b|).

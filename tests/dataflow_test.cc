@@ -440,13 +440,45 @@ TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
   EXPECT_GT(partition_report.StragglerRatio(), 3.0);
 
   // Morsel path: 100-row units, so the heavy partition becomes 100 units
-  // the scheduler spreads across workers. Every unit does the same work,
-  // so max/p50 busy time sits near 1 (3.0 leaves slack for timer jitter).
+  // the scheduler spreads across workers.
   EXPECT_EQ(morsel_report.tasks, 9u);
   EXPECT_EQ(morsel_report.morsels, 108u);
   ASSERT_GT(morsel_report.TaskP50Seconds(), 0.0);
-  EXPECT_LT(morsel_report.TaskMaxSeconds() / morsel_report.TaskP50Seconds(),
-            3.0);
+
+  // Every unit holds the same bounded work, which is what keeps any one of
+  // them from dominating. Checked on the units themselves (their row
+  // ranges), not on per-unit timings: thread CPU time on a shared host
+  // includes time the hypervisor takes from the vCPU, so a timing ratio
+  // moves with host load.
+  ExecutionContext ctx(4);
+  ctx.set_morsel_rows(100);
+  const Dataset<uint64_t> skewed(&ctx, parts);
+  using Sizes = std::vector<size_t>;
+  std::vector<Sizes> unit_sizes = skewed.RunStageMorsels<Sizes>(
+      "units", [&](size_t p) { return parts[p].size(); },
+      [](size_t, size_t begin, size_t end, TaskContext&) {
+        return Sizes{end - begin};
+      },
+      [](size_t, std::vector<Sizes>&& pieces) {
+        Sizes merged;
+        for (const Sizes& piece : pieces) {
+          merged.insert(merged.end(), piece.begin(), piece.end());
+        }
+        return merged;
+      });
+  ASSERT_EQ(unit_sizes.size(), parts.size());
+  EXPECT_EQ(unit_sizes[0].size(), 100u);
+  size_t units = 0;
+  for (size_t p = 0; p < unit_sizes.size(); ++p) {
+    size_t rows = 0;
+    for (size_t n : unit_sizes[p]) {
+      EXPECT_LE(n, 100u);
+      rows += n;
+    }
+    EXPECT_EQ(rows, parts[p].size());
+    units += unit_sizes[p].size();
+  }
+  EXPECT_EQ(units, 108u);
 }
 
 TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {

@@ -8,10 +8,12 @@
 
 #include <optional>
 #include <set>
+#include <unordered_set>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/random.h"
 #include "core/bigdansing.h"
 #include "core/rule_engine.h"
 #include "data/csv.h"
@@ -419,6 +421,168 @@ TEST(KernelStages, ReportedWithKernelPrefixOnlyWhenEnabled) {
     ASSERT_TRUE(engine.Detect(table, rule).ok());
     EXPECT_FALSE(has_kernel_stage(ctx.metrics()));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Global inequality DCs: the kernel route runs OCJoin over codes and the DC
+// kernel decides every emitted pair. Seeded random tables and rules; every
+// result must equal the interpreted route (BD_KERNELS=0) byte for byte,
+// with the same OCJoin statistics.
+
+/// Six columns; rules never read `f`, so every plan carries a scope.
+/// Heavy duplicates, int/double ties, nulls, mixed types in `d` and
+/// strings in `e`.
+Table RandomInequalityTable(Random& rng, size_t n) {
+  Table table(Schema({"a", "b", "c", "d", "e", "f"}));
+  auto number = [&rng]() {
+    const int64_t k = static_cast<int64_t>(rng.NextBounded(7));
+    if (rng.NextBool(0.15)) return Value::Null();
+    return rng.NextBool(0.3) ? Value(static_cast<double>(k)) : Value(k);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    Value d = rng.NextBool(0.3) ? Value(std::string(1, 'p' + rng.NextBounded(3)))
+                                : number();
+    Value e = rng.NextBool(0.1) ? Value::Null()
+                                : Value(std::string(1, 'x' + rng.NextBounded(3)));
+    table.AppendRow({number(), number(), number(), std::move(d), std::move(e),
+                     Value(static_cast<int64_t>(i))});
+  }
+  return table;
+}
+
+/// A DC with 1-3 cross-tuple ordering predicates over a/b/c (same- and
+/// cross-column) plus optional `=` / `!=` residuals: cross-column equality,
+/// same-tuple ordering and constants, none of which blocks the rule.
+std::string RandomInequalityDc(Random& rng, size_t index) {
+  static const char* kCols[] = {"a", "b", "c"};
+  static const char* kOps[] = {"<", "<=", ">", ">="};
+  static const char* kResiduals[] = {
+      "t1.d != t2.d", "t1.e = t2.d",  "t1.e != t2.e", "t1.a < t1.b",
+      "t2.d != 3",    "t1.e = \"x\"", "t1.c = t2.a",
+  };
+  std::string text = "dc" + std::to_string(index) + ": DC: ";
+  const size_t ordering = 1 + rng.NextBounded(3);
+  for (size_t j = 0; j < ordering; ++j) {
+    if (j > 0) text += " & ";
+    const char* left = kCols[rng.NextBounded(3)];
+    const char* right = rng.NextBool(0.5) ? left : kCols[rng.NextBounded(3)];
+    text += std::string("t1.") + left + " " + kOps[rng.NextBounded(4)] +
+            " t2." + right;
+  }
+  const size_t residuals = rng.NextBounded(3);
+  for (size_t j = 0; j < residuals; ++j) {
+    text += std::string(" & ") + kResiduals[rng.NextBounded(7)];
+  }
+  return text;
+}
+
+void ExpectSameOCJoinStats(const OCJoinStats& a, const OCJoinStats& b) {
+  EXPECT_EQ(a.num_partitions, b.num_partitions);
+  EXPECT_EQ(a.partition_pairs_total, b.partition_pairs_total);
+  EXPECT_EQ(a.partition_pairs_after_pruning, b.partition_pairs_after_pruning);
+  EXPECT_EQ(a.candidate_pairs, b.candidate_pairs);
+  EXPECT_EQ(a.result_pairs, b.result_pairs);
+  EXPECT_EQ(a.primary_condition, b.primary_condition);
+}
+
+TEST(KernelOCJoinDifferential, DetectMatchesInterpreted) {
+  size_t violating_rules = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Random rng(seed);
+    Table table = RandomInequalityTable(rng, 20 + rng.NextBounded(180));
+    std::vector<RulePtr> rules;
+    for (size_t r = 0; r < 3; ++r) {
+      auto rule = ParseRule(RandomInequalityDc(rng, r));
+      ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+      rules.push_back(*rule);
+    }
+    PlannerOptions options;
+    options.ocjoin_selectivity_ordering = rng.NextBool(0.5);
+    const size_t workers = 1 + rng.NextBounded(4);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto kernel = RunDetect(table, rules, /*kernels=*/true, workers, options);
+    auto interp = RunDetect(table, rules, /*kernels=*/false, workers, options);
+    ASSERT_EQ(kernel.size(), interp.size());
+    for (size_t r = 0; r < kernel.size(); ++r) {
+      SCOPED_TRACE(rules[r]->name());
+      EXPECT_EQ(DetectFingerprint(kernel[r]), DetectFingerprint(interp[r]));
+      EXPECT_EQ(kernel[r].detect_calls, interp[r].detect_calls);
+      ExpectSameOCJoinStats(kernel[r].ocjoin_stats, interp[r].ocjoin_stats);
+      EXPECT_NE(kernel[r].plan_description.find("OCJoin"), std::string::npos);
+      EXPECT_NE(kernel[r].plan_description.find("[kernel]"), std::string::npos)
+          << kernel[r].plan_description;
+      if (!kernel[r].violations.empty()) ++violating_rules;
+    }
+  }
+  EXPECT_GT(violating_rules, 40u);
+}
+
+TEST(KernelOCJoinDifferential, IEJoinRoutingStaysInterpreted) {
+  Random rng(77);
+  Table table = RandomInequalityTable(rng, 150);
+  auto two = *ParseRule("dc2: DC: t1.a > t2.a & t1.b < t2.c & t1.d != t2.d");
+  auto one = *ParseRule("dc1: DC: t1.a > t2.b & t1.e = t2.d");
+  PlannerOptions iejoin;
+  iejoin.use_iejoin = true;
+  auto kernel = RunDetect(table, {two, one}, /*kernels=*/true, 4, iejoin);
+  auto interp = RunDetect(table, {two, one}, /*kernels=*/false, 4, iejoin);
+  // Two ordering conditions: IEJoin applies, so the kernel route declines.
+  EXPECT_EQ(kernel[0].plan_description.find("[kernel]"), std::string::npos);
+  EXPECT_GT(kernel[0].iejoin_stats.result_pairs, 0u);
+  EXPECT_EQ(kernel[0].ocjoin_stats.result_pairs, 0u);
+  // One ordering condition: IEJoin does not apply, OCJoin runs on codes.
+  EXPECT_NE(kernel[1].plan_description.find("[kernel]"), std::string::npos);
+  for (size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(DetectFingerprint(kernel[r]), DetectFingerprint(interp[r]));
+    EXPECT_EQ(kernel[r].detect_calls, interp[r].detect_calls);
+    ExpectSameOCJoinStats(kernel[r].ocjoin_stats, interp[r].ocjoin_stats);
+    EXPECT_EQ(kernel[r].iejoin_stats.result_pairs,
+              interp[r].iejoin_stats.result_pairs);
+  }
+}
+
+TEST(KernelOCJoinDifferential, IncrementalAndCleanMatchInterpreted) {
+  size_t repaired = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Random rng(1000 + seed);
+    Table table = RandomInequalityTable(rng, 20 + rng.NextBounded(100));
+    auto rule = ParseRule(RandomInequalityDc(rng, 0));
+    ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+    SCOPED_TRACE("seed " + std::to_string(seed) + " " + (*rule)->name());
+
+    std::unordered_set<RowId> changed;
+    for (const Row& row : table.rows()) {
+      if (rng.NextBool(0.2)) changed.insert(row.id());
+    }
+    std::string incremental[2];
+    std::string cleaned[2];
+    for (int kernels = 0; kernels < 2; ++kernels) {
+      ExecutionContext ctx(3);
+      ctx.set_kernels_enabled(kernels == 1);
+      RuleEngine engine(&ctx);
+      DetectRequest request;
+      request.table = &table;
+      request.rules = {*rule};
+      request.changed_rows = &changed;
+      auto result = engine.Detect(request);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      incremental[kernels] = DetectFingerprint((*result)[0]) + "calls=" +
+                             std::to_string((*result)[0].detect_calls);
+
+      CleanOptions clean_options;
+      clean_options.repair_mode = RepairMode::kHypergraph;
+      clean_options.incremental_redetection = seed % 2 == 0;
+      BigDansing system(&ctx, clean_options);
+      Table working = table;
+      auto report = system.Clean(&working, {*rule});
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      cleaned[kernels] = TableFingerprint(working);
+    }
+    EXPECT_EQ(incremental[1], incremental[0]);
+    EXPECT_EQ(cleaned[1], cleaned[0]);
+    if (cleaned[0] != TableFingerprint(table)) ++repaired;
+  }
+  EXPECT_GT(repaired, 6u);
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "common/random.h"
+#include "ocjoin_oracle.h"
 
 namespace bigdansing {
 namespace {
@@ -222,6 +226,166 @@ TEST(OCJoin, StatsCandidateCountBoundsResults) {
   OCJoinStats stats;
   OCJoin(&ctx, rows, conditions, OCJoinOptions(), &stats);
   EXPECT_GE(stats.candidate_pairs, stats.result_pairs);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded differential sweep: the code-based OCJoin against the Value-based
+// oracle (tests/ocjoin_oracle.h). Same ordered pair list, same stats.
+
+enum class ColumnKind {
+  kSmallInts,      // heavy duplicates
+  kIntDoubleTies,  // 1 vs 1.0, plus halves
+  kMixed,          // ints, doubles and strings in one column
+  kStrings,
+  kExtreme,        // int64/double extremes, 2^53 neighbours, -0.0
+  kAllNull,
+};
+
+Value RandomCell(Random& rng, ColumnKind kind, double null_rate) {
+  if (kind == ColumnKind::kAllNull || rng.NextBool(null_rate)) {
+    return Value::Null();
+  }
+  const int64_t k = static_cast<int64_t>(rng.NextBounded(6));
+  switch (kind) {
+    case ColumnKind::kSmallInts:
+      return Value(static_cast<int64_t>(rng.NextBounded(4)));
+    case ColumnKind::kIntDoubleTies:
+      switch (rng.NextBounded(3)) {
+        case 0:
+          return Value(k);
+        case 1:
+          return Value(static_cast<double>(k));
+        default:
+          return Value(static_cast<double>(k) + 0.5);
+      }
+    case ColumnKind::kMixed:
+      switch (rng.NextBounded(3)) {
+        case 0:
+          return Value(k);
+        case 1:
+          return Value(static_cast<double>(k) - 2.5);
+        default:
+          return Value(std::string(1, static_cast<char>('a' + k)));
+      }
+    case ColumnKind::kStrings:
+      return Value(rng.NextString(static_cast<int>(rng.NextBounded(3))));
+    case ColumnKind::kExtreme: {
+      constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+      constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+      constexpr int64_t k53 = int64_t{1} << 53;
+      const double dmax = std::numeric_limits<double>::max();
+      const Value pool[] = {
+          Value(kMax),      Value(kMax - 1),          Value(kMin),
+          Value(kMin + 1),  Value(k53),               Value(k53 + 1),
+          Value(9.223372036854775807e18),             Value(-9.223372036854775807e18),
+          Value(dmax),      Value(-dmax),             Value(1e308),
+          Value(std::numeric_limits<double>::denorm_min()),
+          Value(-0.0),      Value(0.0),               Value(int64_t{0}),
+          Value(static_cast<double>(k53)),
+      };
+      return pool[rng.NextBounded(sizeof(pool) / sizeof(pool[0]))];
+    }
+    case ColumnKind::kAllNull:
+      break;
+  }
+  return Value::Null();
+}
+
+/// Renders a row pair exactly: ids plus each value's type and text.
+std::string Render(const Row& a, const Row& b) {
+  std::string out;
+  for (const Row* row : {&a, &b}) {
+    out += std::to_string(row->id()) + "(";
+    for (const Value& v : row->values()) {
+      out += std::string(ValueTypeName(v.type())) + ":" + v.ToString() + ",";
+    }
+    out += ")";
+  }
+  return out;
+}
+
+TEST(OCJoinDifferential, MatchesValueOracleOnRandomTables) {
+  constexpr CmpOp kOps[] = {CmpOp::kLt, CmpOp::kLeq, CmpOp::kGt, CmpOp::kGeq};
+  constexpr size_t kCols = 4;
+  size_t nonempty_cases = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Random rng(seed);
+    std::vector<ColumnKind> kinds(kCols);
+    for (auto& kind : kinds) {
+      kind = static_cast<ColumnKind>(rng.NextBounded(6));
+    }
+    const double null_rate = rng.NextBool(0.5) ? 0.0 : 0.2;
+    const size_t n = rng.NextBounded(5) == 0 ? rng.NextBounded(4)
+                                             : rng.NextBounded(220);
+    // Occasionally repeat ids: equal ids are one tuple and never pair.
+    const bool repeat_ids = rng.NextBool(0.15);
+    std::vector<Row> rows;
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<Value> values;
+      for (size_t c = 0; c < kCols; ++c) {
+        values.push_back(RandomCell(rng, kinds[c], null_rate));
+      }
+      const RowId id = repeat_ids ? static_cast<RowId>(rng.NextBounded(n / 2 + 1))
+                                  : static_cast<RowId>(i);
+      rows.emplace_back(id, std::move(values));
+    }
+    std::vector<OrderingCondition> conditions;
+    const size_t num_conditions = 1 + rng.NextBounded(3);
+    for (size_t j = 0; j < num_conditions; ++j) {
+      const size_t left = rng.NextBounded(kCols);
+      const size_t right = rng.NextBool(0.5) ? left : rng.NextBounded(kCols);
+      conditions.push_back(Cond(left, kOps[rng.NextBounded(4)], right));
+    }
+    OCJoinOptions options;
+    options.num_partitions = rng.NextBounded(17);  // 0 derives a count
+    options.order_conditions_by_selectivity = rng.NextBool(0.5);
+    const size_t workers = 1 + rng.NextBounded(4);
+    ExecutionContext ctx(workers);
+    ctx.set_morsel_rows(rng.NextBool(0.5) ? 0 : 1 + rng.NextBounded(40));
+
+    OCJoinStats stats;
+    const std::vector<RowPair> got =
+        OCJoin(&ctx, rows, conditions, options, &stats);
+    OCJoinStats want_stats;
+    const std::vector<PositionPair> want = testing_oracle::OracleOCJoin(
+        workers, rows, conditions, options, &want_stats);
+
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(Render(got[i].left, got[i].right),
+                Render(rows[want[i].first], rows[want[i].second]))
+          << "pair " << i;
+    }
+    EXPECT_EQ(stats.num_partitions, want_stats.num_partitions);
+    EXPECT_EQ(stats.partition_pairs_total, want_stats.partition_pairs_total);
+    EXPECT_EQ(stats.partition_pairs_after_pruning,
+              want_stats.partition_pairs_after_pruning);
+    EXPECT_EQ(stats.candidate_pairs, want_stats.candidate_pairs);
+    EXPECT_EQ(stats.result_pairs, want_stats.result_pairs);
+    EXPECT_EQ(stats.primary_condition, want_stats.primary_condition);
+    if (!want.empty()) ++nonempty_cases;
+  }
+  // The sweep must exercise real joins, not only empty results.
+  EXPECT_GT(nonempty_cases, 100u);
+}
+
+TEST(OCJoinDifferential, PositionsMatchRowWrapper) {
+  // The position core and the row wrapper are one algorithm: the wrapper
+  // only encodes and maps positions back to rows.
+  std::vector<Row> rows = RandomRows(300, 3, 41, 0.1);
+  std::vector<OrderingCondition> conditions = {Cond(0, CmpOp::kGt, 0),
+                                               Cond(1, CmpOp::kLeq, 2)};
+  ExecutionContext ctx(4);
+  OCJoinStats oracle_stats;
+  auto want = testing_oracle::OracleOCJoin(4, rows, conditions, OCJoinOptions(),
+                                           &oracle_stats);
+  auto got = OCJoin(&ctx, rows, conditions, OCJoinOptions());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].left.id(), rows[want[i].first].id());
+    EXPECT_EQ(got[i].right.id(), rows[want[i].second].id());
+  }
 }
 
 }  // namespace

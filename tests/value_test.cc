@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 namespace bigdansing {
@@ -114,6 +115,35 @@ TEST_P(ValueOrderProperty, CompareIsAntisymmetricAndTransitive) {
 
 INSTANTIATE_TEST_SUITE_P(Rotations, ValueOrderProperty,
                          ::testing::Range(0, 5));
+
+TEST(Value, HashAgreesWithCompareBeyondExactInts) {
+  // Compare orders ints through their double rounding, so past 2^53
+  // distinct ints (and the doubles they round to) compare equal; equal
+  // values must hash equally or dictionary pools split one value in two.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const std::vector<Value> values = {
+      Value(kMax),          Value(kMax - 1),       Value(9.223372036854775807e18),
+      Value(kMin),          Value(kMin + 1),       Value(-9.223372036854775807e18),
+      Value(k53),           Value(k53 + 1),        Value(static_cast<double>(k53)),
+      Value(-k53 - 1),      Value(-static_cast<double>(k53)),
+      Value(int64_t{0}),    Value(-0.0),           Value(1e300),
+  };
+  size_t equal_pairs = 0;
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      if (a.Compare(b) != 0) continue;
+      ++equal_pairs;
+      EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+    }
+  }
+  EXPECT_GT(equal_pairs, values.size());
+  // Exactly representable ints keep their pinned hash.
+  EXPECT_EQ(Value(k53).Hash(), StableHashUint64(static_cast<uint64_t>(k53)));
+  EXPECT_EQ(Value(int64_t{-12345}).Hash(),
+            StableHashUint64(static_cast<uint64_t>(int64_t{-12345})));
+}
 
 TEST(Value, HashIsStableAcrossRuns) {
   // Pinned values guard against accidental hash-function changes, which
