@@ -1,20 +1,22 @@
-// Ablation: columnar detect kernels vs the interpreted rule engine.
+// Ablation: the compiled kernel decider vs the Rule::Detect decider.
 //
-// The same detections run two ways over the same data:
+// The same detections run two ways over the same data. Both share one
+// enumeration: the blocking column is dictionary-encoded (dense u32
+// codes, pool-precomputed hashes) and blocks of 8-byte row refs are
+// grouped from those hashes either way. Only the per-candidate decision
+// differs:
 //
-//  - interpreted: BD_KERNELS=0 semantics — Block hashes Value objects row
-//    by row and Detect re-evaluates each candidate pair through
-//    Rule::Detect's virtual dispatch and Value comparisons.
-//  - kernel: the default path — blocking/predicate columns are
-//    dictionary-encoded once (dense u32 codes, pool-precomputed hashes)
-//    and a compiled DetectKernel filters candidate pairs with branch-light
+//  - interpreted: BD_KERNELS=0 semantics — Detect evaluates each candidate
+//    pair through Rule::Detect's virtual dispatch and Value comparisons on
+//    the scope-projected rows.
+//  - kernel: the default — the predicate columns are encoded too and a
+//    compiled DetectKernel filters candidate pairs with branch-light
 //    integer loops; Rule::Detect materializes violations only for matches.
 //
-// Output must be bit-identical (the kernel is a pure decision filter that
-// preserves enumeration order); the bench verifies that and reports the
-// simulated-wall speedup per workload, plus a microbench of the
-// dictionary-encode cost in ns/row — the price paid before the kernel can
-// run at all.
+// Output must be bit-identical (both deciders see the same candidates in
+// the same order); the bench verifies that and reports the simulated-wall
+// speedup per workload, plus a microbench of the dictionary-encode cost in
+// ns/row — the price paid before a kernel can run at all.
 #include <cstdio>
 #include <string>
 #include <vector>

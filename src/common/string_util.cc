@@ -60,12 +60,28 @@ bool LooksLikeInt(std::string_view s) {
 }
 
 bool LooksLikeDouble(std::string_view s) {
+  // Decimal numerals only: [+-] digits [. digits] [e [+-] digits], with at
+  // least one mantissa digit. strtod's hex, "inf" and "nan" forms stay text.
   s = Trim(s);
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size();
+  size_t i = 0;
+  auto digits = [&] {
+    const size_t start = i;
+    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
+    return i - start;
+  };
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+  size_t mantissa = digits();
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (digits() == 0) return false;
+  }
+  return i == s.size();
 }
 
 std::string JsonEscape(std::string_view s) {

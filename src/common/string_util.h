@@ -25,7 +25,8 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True if `s` (after trimming) parses fully as a signed integer.
 bool LooksLikeInt(std::string_view s);
 
-/// True if `s` (after trimming) parses fully as a floating point number.
+/// True if `s` (after trimming) is a decimal numeral: [+-] digits, an
+/// optional fraction and exponent. Hex, "inf" and "nan" forms are not.
 bool LooksLikeDouble(std::string_view s);
 
 /// Escapes `s` for embedding inside a JSON string literal: `"` and `\`

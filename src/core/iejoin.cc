@@ -31,12 +31,12 @@ bool IEJoinApplicable(const std::vector<OrderingCondition>& conditions) {
   return conditions.size() >= 2;
 }
 
-std::vector<RowPair> IEJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            IEJoinStats* stats) {
+std::vector<PositionPair> IEJoin(
+    ExecutionContext* ctx, const std::vector<Row>& rows,
+    const std::vector<OrderingCondition>& conditions,
+    IEJoinStats* stats) {
   IEJoinStats local;
-  std::vector<RowPair> results;
+  std::vector<PositionPair> results;
   if (stats != nullptr) *stats = local;
   if (!IEJoinApplicable(conditions) || rows.empty()) return results;
 
@@ -168,7 +168,8 @@ std::vector<RowPair> IEJoin(ExecutionContext* ctx,
       while (mask != 0) {
         unsigned bit = static_cast<unsigned>(__builtin_ctzll(mask));
         mask &= mask - 1;
-        const Row& t1 = rows[by_a[base + bit]];
+        const uint32_t t1_idx = by_a[base + bit];
+        const Row& t1 = rows[t1_idx];
         if (t1.id() == t2.id()) continue;
         // Residual conditions beyond the two that drove the join.
         bool all = true;
@@ -181,7 +182,7 @@ std::vector<RowPair> IEJoin(ExecutionContext* ctx,
             break;
           }
         }
-        if (all) results.push_back(RowPair{t1, t2});
+        if (all) results.emplace_back(t1_idx, t_idx);
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/ocjoin.h"
 #include "data/row.h"
 #include "dataflow/context.h"
 #include "rules/rule.h"
@@ -31,11 +32,12 @@ struct IEJoinStats {
 /// conditions beyond the first two are evaluated per emitted pair.
 ///
 /// Returns all ordered pairs (t1, t2), t1 != t2, satisfying every
-/// condition. Rows with nulls in any condition attribute never join.
-std::vector<RowPair> IEJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            IEJoinStats* stats = nullptr);
+/// condition, as positions into `rows`. Rows with nulls in any condition
+/// attribute never join.
+std::vector<PositionPair> IEJoin(
+    ExecutionContext* ctx, const std::vector<Row>& rows,
+    const std::vector<OrderingCondition>& conditions,
+    IEJoinStats* stats = nullptr);
 
 /// True when `conditions` fits IEJoin (at least two ordering conditions;
 /// the first two drive the join).

@@ -447,69 +447,4 @@ std::vector<PositionPair> OCJoinPositions(
   return results;
 }
 
-std::vector<RowPair> OCJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            const OCJoinOptions& options, OCJoinStats* stats) {
-  if (stats != nullptr) *stats = OCJoinStats{};
-  if (rows.empty() || conditions.empty()) return {};
-
-  // Condition columns, renumbered densely; a condition comparing two
-  // different columns joins their pool groups (union-find over slots).
-  std::vector<size_t> columns;
-  auto slot_of = [&columns](size_t col) {
-    auto it = std::find(columns.begin(), columns.end(), col);
-    if (it != columns.end()) return static_cast<size_t>(it - columns.begin());
-    columns.push_back(col);
-    return columns.size() - 1;
-  };
-  std::vector<OrderingCondition> slotted = conditions;
-  std::vector<size_t> group;
-  auto root = [&group](size_t s) {
-    while (group[s] != s) s = group[s];
-    return s;
-  };
-  for (auto& c : slotted) {
-    c.left_column = slot_of(c.left_column);
-    c.right_column = slot_of(c.right_column);
-    while (group.size() < columns.size()) group.push_back(group.size());
-    group[root(c.right_column)] = root(c.left_column);
-  }
-
-  // One order-preserving pool per group; codes per slot.
-  std::vector<std::vector<uint32_t>> codes(columns.size());
-  for (size_t g = 0; g < columns.size(); ++g) {
-    if (root(g) != g) continue;
-    StablePool seen;
-    for (size_t s = 0; s < columns.size(); ++s) {
-      if (root(s) != g) continue;
-      for (const Row& row : rows) seen.Intern(row.value(columns[s]));
-    }
-    std::vector<Value> sorted = seen.Take();
-    std::sort(sorted.begin(), sorted.end());
-    const ValuePool pool(std::move(sorted));
-    for (size_t s = 0; s < columns.size(); ++s) {
-      if (root(s) != g) continue;
-      codes[s].reserve(rows.size());
-      for (const Row& row : rows) {
-        codes[s].push_back(pool.CodeOf(row.value(columns[s])));
-      }
-    }
-  }
-  std::vector<RowId> ids;
-  ids.reserve(rows.size());
-  for (const Row& row : rows) ids.push_back(row.id());
-
-  OCJoinInput input;
-  input.num_rows = rows.size();
-  for (const auto& c : codes) input.columns.push_back(c.data());
-  input.ids = ids.data();
-  const std::vector<PositionPair> positions =
-      OCJoinPositions(ctx, input, slotted, options, stats);
-  std::vector<RowPair> pairs;
-  pairs.reserve(positions.size());
-  for (const auto& [a, b] : positions) pairs.push_back(RowPair{rows[a], rows[b]});
-  return pairs;
-}
-
 }  // namespace bigdansing

@@ -78,15 +78,6 @@ std::vector<PositionPair> OCJoinPositions(
     const std::vector<OrderingCondition>& conditions,
     const OCJoinOptions& options, OCJoinStats* stats = nullptr);
 
-/// OCJoin over rows: dictionary-encodes the condition attributes of `rows`
-/// (columns compared across a condition share one pool), runs
-/// OCJoinPositions, and returns the matching row pairs in its order.
-std::vector<RowPair> OCJoin(ExecutionContext* ctx,
-                            const std::vector<Row>& rows,
-                            const std::vector<OrderingCondition>& conditions,
-                            const OCJoinOptions& options,
-                            OCJoinStats* stats = nullptr);
-
 }  // namespace bigdansing
 
 #endif  // BIGDANSING_CORE_OCJOIN_H_

@@ -5,6 +5,20 @@
 
 namespace bigdansing {
 
+Row ScopeProject(const Row& row, const std::vector<size_t>& scope_columns) {
+  std::vector<Value> values;
+  values.reserve(scope_columns.size());
+  std::vector<size_t> sources;
+  sources.reserve(scope_columns.size());
+  for (size_t c : scope_columns) {
+    values.push_back(row.value(row.source_column(c)));
+    sources.push_back(row.source_column(c));
+  }
+  Row out(row.id(), std::move(values));
+  out.set_source_columns(std::move(sources));
+  return out;
+}
+
 const char* IterateStrategyName(IterateStrategy strategy) {
   switch (strategy) {
     case IterateStrategy::kCrossProduct:

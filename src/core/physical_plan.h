@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "core/logical_plan.h"
+#include "data/row.h"
 #include "data/schema.h"
 #include "rules/rule.h"
 #include "rules/udf_rule.h"
@@ -62,6 +63,13 @@ struct PhysicalRulePlan {
   /// to a trace span so the runtime EXPLAIN shows plan next to measurement.
   void AnnotateSpan(ScopedSpan* span) const;
 };
+
+/// The per-row projection PScope applies: keeps `scope_columns` (values
+/// plus their source-column mapping, so cells map back to the base table)
+/// and the row id. Detection applies it once per scope to feed Rule::Detect
+/// and on demand to the rows of kernel-matched candidates; the stream
+/// index applies it before a procedural block key.
+Row ScopeProject(const Row& row, const std::vector<size_t>& scope_columns);
 
 /// Optimizer options; benches toggle these to ablate individual
 /// optimizations (Fig 11(c), Fig 12(a)).

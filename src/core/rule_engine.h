@@ -101,14 +101,14 @@ class RuleEngine {
  private:
   /// Dispatch bodies behind the Detect boundary. These may throw StageError
   /// (stage retry budget exhausted); Detect(DetectRequest) catches it.
+  /// In-memory detection; `changed_rows` (optional) narrows it to
+  /// candidates holding a changed row.
   Result<std::vector<DetectionResult>> DetectAllImpl(
-      const Table& table, const std::vector<RulePtr>& rules) const;
+      const Table& table, const std::vector<RulePtr>& rules,
+      const std::unordered_set<RowId>* changed_rows) const;
   Result<DetectionResult> DetectAcrossImpl(
       const Table& left, const Table& right,
       const std::shared_ptr<DcRule>& rule) const;
-  Result<DetectionResult> DetectIncrementalImpl(
-      const Table& table, const RulePtr& rule,
-      const std::unordered_set<RowId>& changed_rows) const;
   Result<DetectionResult> DetectWithStorageImpl(const StorageManager& storage,
                                                 const std::string& name,
                                                 const RulePtr& rule) const;

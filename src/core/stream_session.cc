@@ -7,7 +7,6 @@
 #include "common/hash.h"
 #include "common/metrics_registry.h"
 #include "common/stopwatch.h"
-#include "core/columnar_detect.h"
 #include "core/rule_engine.h"
 
 namespace bigdansing {
@@ -211,7 +210,7 @@ bool StreamSession::KeyOf(const RuleIndex& ri, uint32_t pos,
                   ? ri.plan.block_key_fn(ri.plan.detect_schema, row)
                   : ri.plan.block_key_fn(
                         ri.plan.detect_schema,
-                        columnar::ScopeProject(row, ri.plan.scope_columns));
+                        ScopeProject(row, ri.plan.scope_columns));
     if (v.is_null()) return false;
     *key = v.Hash();
     return true;

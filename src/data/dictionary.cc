@@ -61,7 +61,7 @@ EncodedColumnSet EncodeColumns(
   // per-row source mappings (scoped rows), honoured via source_column.
   std::vector<std::vector<std::vector<Value>>> distinct =
       data.RunStageProducing<std::vector<std::vector<Value>>>(
-          "kernel:encode:pool", [&](size_t p, TaskContext& tc) {
+          "encode:pool", [&](size_t p, TaskContext& tc) {
             std::vector<std::vector<Value>> per_group(groups.size());
             for (size_t g = 0; g < groups.size(); ++g) {
               StablePool seen;
@@ -83,7 +83,7 @@ EncodedColumnSet EncodeColumns(
     // Driver-serial pool construction (merge + sort + index build between
     // the two parallel stages); published so profiled runs attribute it.
     ScopedActivity pool_activity(
-        Profiler::Instance().Intern("kernel:encode:pool", "driver"), 0, 0);
+        Profiler::Instance().Intern("encode:pool", "driver"), 0, 0);
     for (size_t g = 0; g < groups.size(); ++g) {
       StablePool merged;
       size_t total = 0;
@@ -105,7 +105,7 @@ EncodedColumnSet EncodeColumns(
   // concatenate in row order, giving partition-aligned code vectors.
   using CodesPiece = std::vector<std::vector<uint32_t>>;  // flat slot-major
   std::vector<CodesPiece> encoded = data.RunStageMorsels<CodesPiece>(
-      "kernel:encode:codes",
+      "encode:codes",
       [&](size_t p) { return parts[p].size(); },
       [&](size_t p, size_t begin, size_t end, TaskContext& tc) {
         CodesPiece piece(flat_cols.size());

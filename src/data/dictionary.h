@@ -105,8 +105,8 @@ struct EncodedColumnSet {
 };
 
 /// Dictionary-encodes the given columns of `data` in two stages
-/// ("kernel:encode:pool" builds per-group pools from per-partition distinct
-/// sets, "kernel:encode:codes" encodes rows morsel-wise). Each inner vector
+/// ("encode:pool" builds per-group pools from per-partition distinct sets,
+/// "encode:codes" encodes rows morsel-wise). Each inner vector
 /// of `groups` is a set of detect-schema column indices that share one pool
 /// (required whenever a kernel compares codes *across* two columns); every
 /// requested column appears in exactly one group.

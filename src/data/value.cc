@@ -60,7 +60,10 @@ Value Value::Parse(std::string_view text) {
     return Value(std::string(text));
   }
   if (LooksLikeDouble(trimmed)) {
-    return Value(std::strtod(std::string(trimmed).c_str(), nullptr));
+    // A decimal numeral beyond double range (1e999) stays text, like an
+    // int64 overflow: an infinity would write back as "inf".
+    const double v = std::strtod(std::string(trimmed).c_str(), nullptr);
+    if (std::isfinite(v)) return Value(v);
   }
   return Value(std::string(text));
 }
@@ -71,13 +74,14 @@ int Value::Compare(const Value& other) const {
     if (is_null() && other.is_null()) return 0;
     return is_null() ? -1 : 1;
   }
-  // Cross-numeric comparison.
+  // Cross-numeric comparison. Every NaN is one value, ordered after +inf,
+  // so the order stays total (a NaN is equal to itself only).
   if (is_numeric() && other.is_numeric()) {
-    double a = AsNumber();
-    double b = other.AsNumber();
+    const double a = AsNumber();
+    const double b = other.AsNumber();
     if (a < b) return -1;
     if (a > b) return 1;
-    return 0;
+    return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
   }
   // Numerics sort before strings.
   if (is_numeric() != other.is_numeric()) return is_numeric() ? -1 : 1;
@@ -87,8 +91,10 @@ int Value::Compare(const Value& other) const {
 
 namespace {
 
-/// Integral doubles hash like ints so 1 == 1.0 implies equal hashes.
+/// Integral doubles hash like ints so 1 == 1.0 implies equal hashes; every
+/// NaN (any sign or payload) hashes alike, as Compare makes them one value.
 uint64_t HashDouble(double d) {
+  if (std::isnan(d)) return StableHashUint64(0x7FF8000000000000ULL);
   if (d == std::floor(d) && std::abs(d) < 9.2e18) {
     return StableHashUint64(static_cast<uint64_t>(static_cast<int64_t>(d)));
   }

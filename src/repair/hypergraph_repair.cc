@@ -237,10 +237,13 @@ std::vector<CellAssignment> HypergraphRepairAlgorithm::RepairComponent(
       return constraints;
     };
     auto cost_of = [](const Value& from, const Value& to) {
+      if (from == to) return 0.0;
       if (from.is_numeric() && to.is_numeric()) {
-        return std::abs(from.AsNumber() - to.AsNumber());
+        // A NaN distance (a NaN or infinite value involved) ranks last.
+        const double d = std::abs(from.AsNumber() - to.AsNumber());
+        return std::isnan(d) ? std::numeric_limits<double>::infinity() : d;
       }
-      return from == to ? 0.0 : 1.0;
+      return 1.0;
     };
     constexpr size_t kMaxCandidates = 8;
     CellRef chosen{};
@@ -252,7 +255,7 @@ std::vector<CellAssignment> HypergraphRepairAlgorithm::RepairComponent(
       if (++examined > kMaxCandidates) break;
       Value candidate = ChooseValue(constraints_on(cell), values.at(cell));
       double cost = cost_of(values.at(cell), candidate);
-      if (cost < best_cost) {
+      if (examined == 1 || cost < best_cost) {
         best_cost = cost;
         chosen = cell;
         new_value = std::move(candidate);

@@ -61,9 +61,11 @@ std::set<std::pair<RowId, RowId>> BruteForce(
   return out;
 }
 
-std::set<std::pair<RowId, RowId>> AsSet(const std::vector<RowPair>& pairs) {
+/// IEJoin returns positions into its input rows; tests compare row ids.
+std::set<std::pair<RowId, RowId>> AsSet(
+    const std::vector<Row>& rows, const std::vector<PositionPair>& pairs) {
   std::set<std::pair<RowId, RowId>> out;
-  for (const auto& p : pairs) out.insert({p.left.id(), p.right.id()});
+  for (const auto& [a, b] : pairs) out.insert({rows[a].id(), rows[b].id()});
   return out;
 }
 
@@ -86,7 +88,7 @@ TEST_P(IEJoinProperty, MatchesBruteForce) {
   ExecutionContext ctx(2);
   IEJoinStats stats;
   auto pairs = IEJoin(&ctx, rows, conditions, &stats);
-  EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
+  EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions));
   EXPECT_EQ(stats.result_pairs, pairs.size());
 }
 
@@ -103,7 +105,7 @@ TEST(IEJoin, ResidualThirdCondition) {
       Cond(0, CmpOp::kGt, 0), Cond(1, CmpOp::kLt, 1), Cond(2, CmpOp::kLeq, 2)};
   ExecutionContext ctx(2);
   auto pairs = IEJoin(&ctx, rows, conditions);
-  EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
+  EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions));
 }
 
 TEST(IEJoin, SingleConditionNotApplicable) {
@@ -142,7 +144,7 @@ TEST(IEJoin, HeavyDuplicatesMatchBruteForce) {
                                                    Cond(1, op2, 1)};
       ExecutionContext ctx(2);
       auto pairs = IEJoin(&ctx, rows, conditions);
-      EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions))
+      EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions))
           << CmpOpName(op1) << " " << CmpOpName(op2);
     }
   }

@@ -1,11 +1,15 @@
-// Columnar detect kernels: bit-equality against the interpreted oracle.
+// Columnar detect kernels: the kernel decider against the row decider.
 // Every test runs the same detection twice — kernels on vs BD_KERNELS=0
-// semantics (ctx.set_kernels_enabled(false)) — and requires byte-identical
-// violation streams (same violations, same fixes, same order) plus equal
-// detect_calls, across FD/DC/CFD/CHECK/dedup rules, null-heavy data, empty
-// and single-row blocks, injected faults, and the Clean() fixpoint.
+// semantics (ctx.set_kernels_enabled(false)), which share one enumeration
+// and differ only in who decides each candidate — and requires
+// byte-identical violation streams (same violations, same fixes, same
+// order) plus equal detect_calls, across FD/DC/CFD/CHECK/dedup rules,
+// null-heavy data, empty and single-row blocks, injected faults, and the
+// Clean() fixpoint. tests/detect_oracle_test.cc checks both against an
+// independent brute-force oracle.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -116,10 +120,10 @@ std::vector<DetectionResult> RunDetect(const Table& table,
   return std::move(*results);
 }
 
-/// The core oracle check: kernel vs interpreted runs must agree byte for
-/// byte. `expect_kernel` additionally asserts the kernel path actually
-/// engaged (plan description carries the [kernel] marker) — without it a
-/// silently-fallback path would vacuously pass.
+/// Kernel vs row decider runs must agree byte for byte. `expect_kernel`
+/// additionally asserts the kernel decider actually engaged (plan
+/// description carries the [kernel] marker) — without it a rule the
+/// registry silently stopped compiling would vacuously pass.
 void ExpectBitIdentical(const Table& table, const std::vector<RulePtr>& rules,
                         bool expect_kernel = true, size_t workers = 4,
                         PlannerOptions options = {}) {
@@ -341,8 +345,8 @@ TEST(KernelBitEquality, UdfDedupStaysInterpreted) {
           out->push_back(std::move(v));
         }
       });
-  // UDF rules have no kernel compiler: identical by construction, and the
-  // kernels-on run must NOT carry the kernel marker.
+  // UDF rules have no kernel compiler: the row decider runs either way, and
+  // the kernels-on run must NOT carry the kernel marker.
   ExpectBitIdentical(data.table, {dedup}, /*expect_kernel=*/false);
 }
 
@@ -398,45 +402,53 @@ TEST(KernelBitEquality, CleanFixpointByteIdentical) {
   EXPECT_EQ(with_kernels, interpreted);
 }
 
-TEST(KernelStages, ReportedWithKernelPrefixOnlyWhenEnabled) {
+TEST(KernelStages, KernelPrefixOnlyOnStagesTheKernelDecides) {
+  // Both deciders share the encode and block stages; only the stages where
+  // the kernel decides candidates carry the kernel: prefix.
   Table table = PaperTable();
   auto rule = *ParseRule("phiF: FD: zipcode -> city");
-  auto has_kernel_stage = [](const Metrics& metrics) {
-    for (const auto& report : metrics.StageReports()) {
-      if (report.name.rfind("kernel:", 0) == 0) return true;
+  for (bool kernels : {true, false}) {
+    SCOPED_TRACE(kernels ? "kernels on" : "kernels off");
+    ExecutionContext ctx(4);
+    ctx.set_kernels_enabled(kernels);
+    RuleEngine engine(&ctx);
+    ASSERT_TRUE(engine.Detect(table, rule).ok());
+    std::set<std::string> names;
+    for (const auto& report : ctx.metrics().StageReports()) {
+      names.insert(report.name);
     }
-    return false;
-  };
-  {
-    ExecutionContext ctx(4);
-    ctx.set_kernels_enabled(true);
-    RuleEngine engine(&ctx);
-    ASSERT_TRUE(engine.Detect(table, rule).ok());
-    EXPECT_TRUE(has_kernel_stage(ctx.metrics()));
-  }
-  {
-    ExecutionContext ctx(4);
-    ctx.set_kernels_enabled(false);
-    RuleEngine engine(&ctx);
-    ASSERT_TRUE(engine.Detect(table, rule).ok());
-    EXPECT_FALSE(has_kernel_stage(ctx.metrics()));
+    EXPECT_TRUE(names.count("encode:pool")) << ::testing::PrintToString(names);
+    EXPECT_TRUE(names.count("encode:codes"));
+    EXPECT_TRUE(names.count("block"));
+    EXPECT_EQ(names.count("kernel:iterate|detect|genfix"), kernels ? 1u : 0u);
+    EXPECT_EQ(names.count("iterate|detect|genfix"), kernels ? 0u : 1u);
+    for (const std::string& name : names) {
+      if (name.rfind("kernel:", 0) == 0) {
+        EXPECT_TRUE(kernels) << name;
+        EXPECT_NE(name.find("detect"), std::string::npos) << name;
+      }
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Global inequality DCs: the kernel route runs OCJoin over codes and the DC
 // kernel decides every emitted pair. Seeded random tables and rules; every
-// result must equal the interpreted route (BD_KERNELS=0) byte for byte,
+// result must equal the row decider's (BD_KERNELS=0) byte for byte,
 // with the same OCJoin statistics.
 
 /// Six columns; rules never read `f`, so every plan carries a scope.
-/// Heavy duplicates, int/double ties, nulls, mixed types in `d` and
-/// strings in `e`.
+/// Heavy duplicates, int/double ties, NaN of both signs, nulls, mixed types
+/// in `d` and strings in `e`.
 Table RandomInequalityTable(Random& rng, size_t n) {
   Table table(Schema({"a", "b", "c", "d", "e", "f"}));
   auto number = [&rng]() {
     const int64_t k = static_cast<int64_t>(rng.NextBounded(7));
     if (rng.NextBool(0.15)) return Value::Null();
+    if (rng.NextBool(0.05)) {
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      return Value(rng.NextBool(0.5) ? nan : -nan);
+    }
     return rng.NextBool(0.3) ? Value(static_cast<double>(k)) : Value(k);
   };
   for (size_t i = 0; i < n; ++i) {
@@ -517,7 +529,7 @@ TEST(KernelOCJoinDifferential, DetectMatchesInterpreted) {
   EXPECT_GT(violating_rules, 40u);
 }
 
-TEST(KernelOCJoinDifferential, IEJoinRoutingStaysInterpreted) {
+TEST(KernelOCJoinDifferential, IEJoinRouteUsesKernelDecider) {
   Random rng(77);
   Table table = RandomInequalityTable(rng, 150);
   auto two = *ParseRule("dc2: DC: t1.a > t2.a & t1.b < t2.c & t1.d != t2.d");
@@ -526,8 +538,9 @@ TEST(KernelOCJoinDifferential, IEJoinRoutingStaysInterpreted) {
   iejoin.use_iejoin = true;
   auto kernel = RunDetect(table, {two, one}, /*kernels=*/true, 4, iejoin);
   auto interp = RunDetect(table, {two, one}, /*kernels=*/false, 4, iejoin);
-  // Two ordering conditions: IEJoin applies, so the kernel route declines.
-  EXPECT_EQ(kernel[0].plan_description.find("[kernel]"), std::string::npos);
+  // Two ordering conditions: IEJoin enumerates the pairs over Values and
+  // the kernel decides each one.
+  EXPECT_NE(kernel[0].plan_description.find("[kernel]"), std::string::npos);
   EXPECT_GT(kernel[0].iejoin_stats.result_pairs, 0u);
   EXPECT_EQ(kernel[0].ocjoin_stats.result_pairs, 0u);
   // One ordering condition: IEJoin does not apply, OCJoin runs on codes.

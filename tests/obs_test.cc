@@ -463,9 +463,9 @@ TEST(ProfilerTest, AttributesSamplesToPublishedStages) {
 }
 
 TEST(ProfilerTest, AttributesSamplesToKernelStages) {
-  // The columnar detect kernels publish their own stage descriptors
-  // (kernel:encode:*, kernel:block, kernel:iterate|detect|genfix); the
-  // profiler must attribute samples to them just like interpreted stages.
+  // Stages where the compiled kernel decides publish their own descriptors
+  // (kernel:iterate|detect|genfix); the profiler must attribute samples to
+  // them just like the shared encode and block stages.
   Profiler& profiler = Profiler::Instance();
   profiler.ResetSamples();
   profiler.Start(2000.0);

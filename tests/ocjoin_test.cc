@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "common/random.h"
+#include "data/dictionary.h"
 #include "ocjoin_oracle.h"
 
 namespace bigdansing {
@@ -68,10 +69,47 @@ std::set<std::pair<RowId, RowId>> BruteForce(
   return out;
 }
 
-std::set<std::pair<RowId, RowId>> AsSet(const std::vector<RowPair>& pairs) {
+std::set<std::pair<RowId, RowId>> AsSet(
+    const std::vector<Row>& rows, const std::vector<PositionPair>& pairs) {
   std::set<std::pair<RowId, RowId>> out;
-  for (const auto& p : pairs) out.insert({p.left.id(), p.right.id()});
+  for (const auto& [a, b] : pairs) out.insert({rows[a].id(), rows[b].id()});
   return out;
+}
+
+/// Encodes the condition columns of `rows` with EncodeColumns, all in one
+/// order-preserving pool, and joins them with OCJoinPositions: the pairs
+/// come back as positions into `rows`.
+std::vector<PositionPair> JoinRows(
+    ExecutionContext* ctx, const std::vector<Row>& rows,
+    const std::vector<OrderingCondition>& conditions,
+    const OCJoinOptions& options, OCJoinStats* stats = nullptr) {
+  std::vector<size_t> cols;
+  for (const auto& c : conditions) {
+    for (size_t col : {c.left_column, c.right_column}) {
+      if (std::find(cols.begin(), cols.end(), col) == cols.end()) {
+        cols.push_back(col);
+      }
+    }
+  }
+  OCJoinInput input;
+  input.num_rows = rows.size();
+  std::vector<std::vector<uint32_t>> flat(cols.size());
+  if (!rows.empty() && !cols.empty()) {
+    const EncodedColumnSet encoded =
+        EncodeColumns(Dataset<Row>::FromVector(ctx, rows), {cols});
+    input.columns.assign(*std::max_element(cols.begin(), cols.end()) + 1,
+                         nullptr);
+    for (size_t s = 0; s < cols.size(); ++s) {
+      for (const auto& codes : encoded.columns.at(cols[s]).codes) {
+        flat[s].insert(flat[s].end(), codes.begin(), codes.end());
+      }
+      input.columns[cols[s]] = flat[s].data();
+    }
+  }
+  std::vector<RowId> ids;
+  for (const Row& row : rows) ids.push_back(row.id());
+  input.ids = ids.data();
+  return OCJoinPositions(ctx, input, conditions, options, stats);
 }
 
 OrderingCondition Cond(size_t left, CmpOp op, size_t right) {
@@ -96,8 +134,8 @@ TEST_P(OCJoinProperty, MatchesBruteForce) {
   OCJoinOptions options;
   options.num_partitions = num_partitions;
   OCJoinStats stats;
-  auto pairs = OCJoin(&ctx, rows, conditions, options, &stats);
-  EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
+  auto pairs = JoinRows(&ctx, rows, conditions, options, &stats);
+  EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions));
   EXPECT_EQ(stats.result_pairs, pairs.size());
   EXPECT_LE(stats.partition_pairs_after_pruning, stats.partition_pairs_total);
 }
@@ -114,8 +152,8 @@ TEST(OCJoin, SingleConditionMatchesBruteForce) {
   std::vector<Row> rows = RandomRows(200, 2, 3);
   std::vector<OrderingCondition> conditions = {Cond(0, CmpOp::kGt, 1)};
   ExecutionContext ctx(2);
-  auto pairs = OCJoin(&ctx, rows, conditions, OCJoinOptions());
-  EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
+  auto pairs = JoinRows(&ctx, rows, conditions, OCJoinOptions());
+  EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions));
 }
 
 TEST(OCJoin, ThreeConditions) {
@@ -123,15 +161,15 @@ TEST(OCJoin, ThreeConditions) {
   std::vector<OrderingCondition> conditions = {
       Cond(0, CmpOp::kGt, 0), Cond(1, CmpOp::kLt, 1), Cond(2, CmpOp::kLeq, 2)};
   ExecutionContext ctx(2);
-  auto pairs = OCJoin(&ctx, rows, conditions, OCJoinOptions());
-  EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
+  auto pairs = JoinRows(&ctx, rows, conditions, OCJoinOptions());
+  EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions));
 }
 
 TEST(OCJoin, EmptyInputs) {
   ExecutionContext ctx(2);
-  EXPECT_TRUE(OCJoin(&ctx, {}, {Cond(0, CmpOp::kLt, 0)}, OCJoinOptions()).empty());
+  EXPECT_TRUE(JoinRows(&ctx, {}, {Cond(0, CmpOp::kLt, 0)}, OCJoinOptions()).empty());
   std::vector<Row> rows = RandomRows(10, 2, 7);
-  EXPECT_TRUE(OCJoin(&ctx, rows, {}, OCJoinOptions()).empty());
+  EXPECT_TRUE(JoinRows(&ctx, rows, {}, OCJoinOptions()).empty());
 }
 
 TEST(OCJoin, AllNullColumnProducesNothing) {
@@ -140,7 +178,7 @@ TEST(OCJoin, AllNullColumnProducesNothing) {
     rows.emplace_back(i, std::vector<Value>{Value::Null(), Value::Null()});
   }
   ExecutionContext ctx(2);
-  auto pairs = OCJoin(&ctx, rows, {Cond(0, CmpOp::kLt, 1)}, OCJoinOptions());
+  auto pairs = JoinRows(&ctx, rows, {Cond(0, CmpOp::kLt, 1)}, OCJoinOptions());
   EXPECT_TRUE(pairs.empty());
 }
 
@@ -159,7 +197,7 @@ TEST(OCJoin, PruningActuallyPrunesOnSortedData) {
   OCJoinOptions options;
   options.num_partitions = 16;
   OCJoinStats stats;
-  auto pairs = OCJoin(&ctx, rows, conditions, options, &stats);
+  auto pairs = JoinRows(&ctx, rows, conditions, options, &stats);
   EXPECT_TRUE(pairs.empty());
   EXPECT_EQ(stats.num_partitions, 16u);
   // Only near-diagonal partition pairs can survive the min/max check.
@@ -176,8 +214,8 @@ TEST(OCJoin, DuplicateValuesHandled) {
   std::vector<OrderingCondition> conditions = {Cond(0, CmpOp::kLeq, 0),
                                                Cond(1, CmpOp::kGt, 1)};
   ExecutionContext ctx(3);
-  auto pairs = OCJoin(&ctx, rows, conditions, OCJoinOptions());
-  EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
+  auto pairs = JoinRows(&ctx, rows, conditions, OCJoinOptions());
+  EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions));
 }
 
 TEST(OCJoin, SelectivityOrderingPicksRareCondition) {
@@ -194,15 +232,15 @@ TEST(OCJoin, SelectivityOrderingPicksRareCondition) {
 
   OCJoinOptions plain;
   OCJoinStats plain_stats;
-  auto plain_pairs = OCJoin(&ctx, rows, conditions, plain, &plain_stats);
+  auto plain_pairs = JoinRows(&ctx, rows, conditions, plain, &plain_stats);
 
   OCJoinOptions ordered;
   ordered.order_conditions_by_selectivity = true;
   OCJoinStats ordered_stats;
-  auto ordered_pairs = OCJoin(&ctx, rows, conditions, ordered, &ordered_stats);
+  auto ordered_pairs = JoinRows(&ctx, rows, conditions, ordered, &ordered_stats);
 
   // Same (empty) result either way; far fewer candidates when ordered.
-  EXPECT_EQ(AsSet(plain_pairs), AsSet(ordered_pairs));
+  EXPECT_EQ(AsSet(rows, plain_pairs), AsSet(rows, ordered_pairs));
   EXPECT_EQ(ordered_stats.primary_condition, 1u);
   EXPECT_LT(ordered_stats.candidate_pairs, plain_stats.candidate_pairs / 10 + 1);
 }
@@ -214,8 +252,8 @@ TEST(OCJoin, SelectivityOrderingPreservesResults) {
   ExecutionContext ctx(2);
   OCJoinOptions ordered;
   ordered.order_conditions_by_selectivity = true;
-  auto pairs = OCJoin(&ctx, rows, conditions, ordered);
-  EXPECT_EQ(AsSet(pairs), BruteForce(rows, conditions));
+  auto pairs = JoinRows(&ctx, rows, conditions, ordered);
+  EXPECT_EQ(AsSet(rows, pairs), BruteForce(rows, conditions));
 }
 
 TEST(OCJoin, StatsCandidateCountBoundsResults) {
@@ -224,7 +262,7 @@ TEST(OCJoin, StatsCandidateCountBoundsResults) {
                                                Cond(1, CmpOp::kLt, 1)};
   ExecutionContext ctx(4);
   OCJoinStats stats;
-  OCJoin(&ctx, rows, conditions, OCJoinOptions(), &stats);
+  JoinRows(&ctx, rows, conditions, OCJoinOptions(), &stats);
   EXPECT_GE(stats.candidate_pairs, stats.result_pairs);
 }
 
@@ -237,7 +275,7 @@ enum class ColumnKind {
   kIntDoubleTies,  // 1 vs 1.0, plus halves
   kMixed,          // ints, doubles and strings in one column
   kStrings,
-  kExtreme,        // int64/double extremes, 2^53 neighbours, -0.0
+  kExtreme,        // int64/double extremes, 2^53 neighbours, -0.0, ±inf, NaN
   kAllNull,
 };
 
@@ -282,6 +320,10 @@ Value RandomCell(Random& rng, ColumnKind kind, double null_rate) {
           Value(std::numeric_limits<double>::denorm_min()),
           Value(-0.0),      Value(0.0),               Value(int64_t{0}),
           Value(static_cast<double>(k53)),
+          Value(std::numeric_limits<double>::infinity()),
+          Value(-std::numeric_limits<double>::infinity()),
+          Value(std::numeric_limits<double>::quiet_NaN()),
+          Value(-std::numeric_limits<double>::quiet_NaN()),
       };
       return pool[rng.NextBounded(sizeof(pool) / sizeof(pool[0]))];
     }
@@ -344,8 +386,8 @@ TEST(OCJoinDifferential, MatchesValueOracleOnRandomTables) {
     ctx.set_morsel_rows(rng.NextBool(0.5) ? 0 : 1 + rng.NextBounded(40));
 
     OCJoinStats stats;
-    const std::vector<RowPair> got =
-        OCJoin(&ctx, rows, conditions, options, &stats);
+    const std::vector<PositionPair> got =
+        JoinRows(&ctx, rows, conditions, options, &stats);
     OCJoinStats want_stats;
     const std::vector<PositionPair> want = testing_oracle::OracleOCJoin(
         workers, rows, conditions, options, &want_stats);
@@ -353,9 +395,10 @@ TEST(OCJoinDifferential, MatchesValueOracleOnRandomTables) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(Render(got[i].left, got[i].right),
-                Render(rows[want[i].first], rows[want[i].second]))
-          << "pair " << i;
+      ASSERT_EQ(got[i], want[i])
+          << "pair " << i << ": got "
+          << Render(rows[got[i].first], rows[got[i].second]) << ", want "
+          << Render(rows[want[i].first], rows[want[i].second]);
     }
     EXPECT_EQ(stats.num_partitions, want_stats.num_partitions);
     EXPECT_EQ(stats.partition_pairs_total, want_stats.partition_pairs_total);
@@ -368,24 +411,6 @@ TEST(OCJoinDifferential, MatchesValueOracleOnRandomTables) {
   }
   // The sweep must exercise real joins, not only empty results.
   EXPECT_GT(nonempty_cases, 100u);
-}
-
-TEST(OCJoinDifferential, PositionsMatchRowWrapper) {
-  // The position core and the row wrapper are one algorithm: the wrapper
-  // only encodes and maps positions back to rows.
-  std::vector<Row> rows = RandomRows(300, 3, 41, 0.1);
-  std::vector<OrderingCondition> conditions = {Cond(0, CmpOp::kGt, 0),
-                                               Cond(1, CmpOp::kLeq, 2)};
-  ExecutionContext ctx(4);
-  OCJoinStats oracle_stats;
-  auto want = testing_oracle::OracleOCJoin(4, rows, conditions, OCJoinOptions(),
-                                           &oracle_stats);
-  auto got = OCJoin(&ctx, rows, conditions, OCJoinOptions());
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].left.id(), rows[want[i].first].id());
-    EXPECT_EQ(got[i].right.id(), rows[want[i].second].id());
-  }
 }
 
 }  // namespace
