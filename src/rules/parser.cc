@@ -36,9 +36,20 @@ Result<Operand> ParseOperand(std::string_view text) {
     op.constant = Value(std::string(text.substr(1, text.size() - 2)));
     return op;
   }
-  if (LooksLikeInt(text) || LooksLikeDouble(text)) {
-    op.is_constant = true;
+  // A bare numeral is a constant. Value::Parse keeps only finite decimal
+  // numerals as numbers; other text strtod reads as a number ("1e999",
+  // "inf", "nan", "0x10") is rejected rather than read as a string
+  // constant or an attribute name.
+  const std::string buf(text);
+  char* end = nullptr;
+  std::strtod(buf.c_str(), &end);
+  if (end == buf.c_str() + buf.size()) {
     op.constant = Value::Parse(text);
+    if (!op.constant.is_numeric()) {
+      return Status::ParseError("numeric constant is not a finite decimal: " +
+                                buf);
+    }
+    op.is_constant = true;
     return op;
   }
   if (StartsWith(text, "t1.") || StartsWith(text, "t2.") ||

@@ -77,6 +77,27 @@ TEST(Parser, DcWithNumericConstant) {
   EXPECT_EQ(dc->predicates()[0].constant, Value(static_cast<int64_t>(100000)));
 }
 
+TEST(Parser, NumericConstantsAreFiniteDecimals) {
+  auto rule = ParseRule("CHECK: t1.x > -1.5e3");
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  auto* check = dynamic_cast<CheckRule*>(rule->get());
+  ASSERT_NE(check, nullptr);
+  EXPECT_EQ(check->predicates()[0].constant, Value(-1500.0));
+  // Out of double range, or read as a number only by strtod: an error, not
+  // a string constant or an attribute named "inf".
+  for (const char* constant : {"1e999", "-1e999", "inf", "-inf", "nan",
+                               "Infinity", "0x10"}) {
+    EXPECT_FALSE(ParseRule(std::string("CHECK: t1.x > ") + constant).ok())
+        << constant;
+    EXPECT_FALSE(
+        ParseRule(std::string("DC: t1.x > ") + constant + " & t1.y = t2.y")
+            .ok())
+        << constant;
+  }
+  // A tuple-qualified attribute may still be named like one.
+  EXPECT_TRUE(ParseRule("CHECK: t1.x > t1.inf").ok());
+}
+
 TEST(Parser, SimilarityPredicateWithThreshold) {
   auto rule = ParseRule("phiU: DC: t1.name ~0.85 t2.name & t1.county = t2.county");
   ASSERT_TRUE(rule.ok()) << rule.status().ToString();
