@@ -4,12 +4,12 @@
 // The input is deliberately skewed: one partition holds ~100x the rows of
 // every other partition. The same per-row pipeline runs two ways:
 //
-//  - partition: BD_MORSEL_ROWS=0 semantics — one task per partition, so
-//    the heavy partition is one indivisible task pinned to one worker
-//    slot and the stage's simulated cluster wall time degenerates to that
-//    slot's busy time (Amdahl on the straggler).
+//  - partition: a morsel size equal to the heavy partition's rows, so every
+//    partition is one work item — the heavy partition is one indivisible
+//    item pinned to one worker slot and the stage's simulated cluster wall
+//    time degenerates to that slot's busy time (Amdahl on the straggler).
 //  - morsel: the default scheduler — the fused pass is cut into row-range
-//    morsels that spread over all worker slots via work stealing, so the
+//    morsels, each accounted to worker slot `morsel % workers`, so the
 //    heavy partition's rows land evenly and the simulated wall time
 //    approaches total_busy / workers.
 //
@@ -71,9 +71,9 @@ void Run() {
         .Collect();
   };
 
-  // --- Partition granularity: the pre-morsel engine. ---
+  // --- Partition granularity: one morsel per partition. ---
   ExecutionContext part_ctx(kWorkers);
-  part_ctx.set_morsel_rows(0);
+  part_ctx.set_morsel_rows(heavy_rows);
   std::vector<uint64_t> part_result;
   double part_wall = TimeSeconds([&] { part_result = pipeline(&part_ctx, input); });
   const double part_sim = part_ctx.metrics().SimulatedWallSeconds();

@@ -35,10 +35,21 @@ std::string Value::ToString() const {
     case ValueType::kInt:
       return std::to_string(as_int());
     case ValueType::kDouble: {
+      const double d = as_double();
       char buf[64];
-      // %.17g round-trips doubles; trim to shortest with %g first.
-      std::snprintf(buf, sizeof(buf), "%g", as_double());
-      return buf;
+      if (!std::isfinite(d)) {
+        std::snprintf(buf, sizeof(buf), "%g", d);
+        return buf;
+      }
+      // The shortest text that reads back as the same double. From 2^63 up
+      // the plain form can be a digit string past int64, which Parse keeps
+      // as text, so those magnitudes take the exponent form.
+      const std::to_chars_result r =
+          std::abs(d) >= 0x1p63
+              ? std::to_chars(buf, buf + sizeof(buf), d,
+                              std::chars_format::scientific)
+              : std::to_chars(buf, buf + sizeof(buf), d);
+      return std::string(buf, r.ptr);
     }
     case ValueType::kString:
       return as_string();

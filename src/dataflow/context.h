@@ -8,6 +8,7 @@
 
 #include "common/fault.h"
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "dataflow/metrics.h"
 
@@ -44,23 +45,28 @@ class ExecutionContext {
   /// Default partition count for new datasets (2 waves per worker).
   size_t default_partitions() const { return num_workers_ * 2; }
 
-  /// Rows per morsel for splittable stages; 0 disables morsel-driven
-  /// execution and every stage runs at partition granularity (the
-  /// pre-morsel engine, also the speculation-capable path). Defaults from
+  /// Rows per morsel for splittable stages (at least 1; a size at or
+  /// above a task's units runs that task as one morsel). Defaults from
   /// BD_MORSEL_ROWS; override per context for tests and ablations.
   size_t morsel_rows() const { return morsel_rows_; }
-  void set_morsel_rows(size_t rows) { morsel_rows_ = rows; }
+  void set_morsel_rows(size_t rows) {
+    BD_CHECK(rows >= 1) << "morsel_rows must be at least 1";
+    morsel_rows_ = rows;
+  }
 
-  /// BD_MORSEL_ROWS when set (0 allowed: disables morsels), else 2048 —
-  /// sized so one morsel's rows plus its output stay inside a typical
-  /// 256KB–1MB L2 slice for the ~100-byte records of the bundled datasets.
+  /// BD_MORSEL_ROWS when it is a whole number >= 1, else 2048 (with a
+  /// warning when set to anything else) — sized so one morsel's rows plus
+  /// its output stay inside a typical 256KB–1MB L2 slice for the
+  /// ~100-byte records of the bundled datasets.
   static size_t DefaultMorselRows() {
     if (const char* env = std::getenv("BD_MORSEL_ROWS")) {
       char* end = nullptr;
       long value = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && value >= 0) {
+      if (end != env && *end == '\0' && value >= 1) {
         return static_cast<size_t>(value);
       }
+      BD_LOG(Warning) << "BD_MORSEL_ROWS='" << env
+                      << "' is not a row count >= 1; using 2048";
     }
     return 2048;
   }

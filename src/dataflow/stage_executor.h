@@ -29,33 +29,41 @@ namespace bigdansing {
 /// RunMorsels(), so it is uniformly:
 ///
 ///  - counted (stages/tasks totals in Metrics),
-///  - timed (per-task CPU time accrued to logical worker `task % workers`,
+///  - timed (per-item CPU time accrued to logical worker `item % workers`,
 ///    feeding Metrics::SimulatedWallSeconds()),
 ///  - attributed to a named stage (a StageReport carrying task count,
 ///    records in/out, shuffled records and busy/wall seconds), and
-///  - recovered: each task attempt probes the FaultInjector site named
-///    after the stage, a body that throws TaskFailure is retried with
-///    capped exponential backoff under the context's FaultPolicy, and
-///    straggler tasks of producing stages can be speculatively duplicated.
+///  - recovered: each attempt probes the FaultInjector site named after
+///    the stage, a body that throws TaskFailure is retried with capped
+///    exponential backoff under the context's FaultPolicy, and straggler
+///    tasks of producing stages can be speculatively duplicated.
+///
+/// All three entry points feed one engine. A stage is a static list of
+/// work items `{task, piece, begin, end}`: Run and RunProducing submit one
+/// item per task, RunMorsels cuts each task into morsel-sized unit ranges
+/// (a whole task is a one-item task). The item index is the coordinate of
+/// fault-injection sites, worker lanes and trace lanes, independent of
+/// which thread happens to run the item.
 ///
 /// Recovery semantics (the substrate services Spark/Hadoop provided the
 /// paper's system for free, §3):
 ///
-///  - Retry: task bodies are deterministic per index, so a re-executed
-///    attempt reproduces the original result bit-identically — the same
-///    argument that makes lineage re-execution sound in Spark. A task is
-///    retried up to FaultPolicy::max_attempts times; a shared per-stage
-///    retry budget bounds total re-execution. Exhaustion fails the stage
-///    with a non-OK Status (never abort); any exception other than
-///    TaskFailure is non-retryable and fails the stage immediately.
+///  - Retry: bodies are deterministic per item, so a re-executed attempt
+///    reproduces the original result bit-identically — the same argument
+///    that makes lineage re-execution sound in Spark. An item is retried
+///    up to FaultPolicy::max_attempts times; a shared per-stage retry
+///    budget bounds total re-execution. Exhaustion fails the stage with a
+///    non-OK Status (never abort); any exception other than TaskFailure is
+///    non-retryable and fails the stage immediately.
 ///  - Speculation (RunProducing only): once at least half the tasks have
 ///    committed, a task running longer than `multiplier x median committed
 ///    task wall time` is duplicated. Attempts write into per-attempt
 ///    buffers (the body's return value); the first attempt to win the
-///    per-task commit race publishes its buffer, the loser's writes are
+///    per-item commit race publishes its buffer, the loser's writes are
 ///    discarded, so records are never double-counted in the StageReport.
 ///    In-place stages (Run) never speculate: their bodies write caller
-///    memory directly, so duplicate attempts could race.
+///    memory directly, so duplicate attempts could race. Morsel stages
+///    never speculate: a straggling morsel is already small.
 ///
 /// Retry/speculation activity is folded into the StageReport and annotated
 /// onto the stage's trace span, so EXPLAIN shows recovery per stage.
@@ -76,20 +84,20 @@ class StageExecutor {
   /// body that throws TaskFailure itself mid-write must be idempotent.
   ///
   /// When tracing is enabled, the stage gets a span (parented to the calling
-  /// thread's innermost scope — rule/operator/phase) and every task attempt
-  /// a child span on its logical-worker lane; after the stage finishes, the
+  /// thread's innermost scope — rule/operator/phase) and every attempt a
+  /// child span on its logical-worker lane; after the stage finishes, the
   /// stage span is annotated with the StageReport's measured counters so the
   /// runtime EXPLAIN reconciles exactly with Metrics::StageReports().
   [[nodiscard]] Status Run(const std::string& stage_name, size_t num_tasks,
                            const TaskBody& body) const {
     struct Unit {};
     auto result = Execute<Unit>(
-        stage_name, num_tasks,
-        [&body](size_t t, TaskContext& tc) {
-          body(t, tc);
+        stage_name, num_tasks, WholeTasks(num_tasks),
+        [&body](const WorkItem& w, TaskContext& tc) {
+          body(w.task, tc);
           return Unit{};
         },
-        /*allow_speculation=*/false);
+        Mode::kInPlace, nullptr);
     return result.ok() ? Status::OK() : result.status();
   }
 
@@ -109,35 +117,29 @@ class StageExecutor {
   [[nodiscard]] Result<std::vector<T>> RunProducing(
       const std::string& stage_name, size_t num_tasks,
       const std::function<T(size_t, TaskContext&)>& body) const {
-    return Execute<T>(stage_name, num_tasks, body, /*allow_speculation=*/true);
+    return Execute<T>(
+        stage_name, num_tasks, WholeTasks(num_tasks),
+        [&body](const WorkItem& w, TaskContext& tc) {
+          return body(w.task, tc);
+        },
+        Mode::kProducing, nullptr);
   }
 
   /// Morsel-driven form of RunProducing for splittable stages: task t's
   /// work is `task_units(t)` independent units (rows, blocks, pairs) and
   /// `body(t, begin, end, tc)` processes the half-open unit range,
-  /// returning a partial result. The engine splits each task into
+  /// returning a partial result. The engine cuts each task into
   /// ctx->morsel_rows()-sized morsels, schedules every morsel as its own
-  /// pool task (so a skewed partition no longer serializes the stage — idle
-  /// workers steal its morsels), and the driver folds task t's partials in
+  /// work item (so a skewed partition no longer serializes the stage — idle
+  /// workers claim its morsels), and the driver folds task t's partials in
   /// ascending unit order with `merge(t, pieces)` — which makes the result
   /// bit-identical to running body(t, 0, task_units(t), tc) whenever merge
-  /// is the natural concatenation of range outputs.
+  /// is the natural concatenation of range outputs. A task with no units
+  /// gets no morsel and merges an empty list.
   ///
-  /// Contracts relative to Execute():
-  ///  - retry-with-backoff moves to morsel granularity: the FaultInjector
-  ///    site (named after the stage) indexes by *global morsel number*, and
-  ///    max_attempts / the shared stage retry budget apply per morsel;
-  ///  - each morsel's CPU time lands in the StageReport's task_seconds (so
-  ///    quantiles/straggler ratio describe the real scheduling units) and
-  ///    accrues to logical worker `morsel % workers`, which is what moves
-  ///    SimulatedWallSeconds() from max-partition to balanced;
-  ///  - no speculation: morsels are small enough that re-execution is
-  ///    cheaper than duplicate-and-race (speculation stays available to
-  ///    non-splittable stages via RunProducing).
-  ///
-  /// When morsels are disabled (ctx->morsel_rows() == 0) the stage runs as
-  /// one body call per task through the Execute() engine — the pre-morsel
-  /// partition-granularity path, with speculation.
+  /// Each morsel's CPU time lands in the StageReport's task_seconds (so
+  /// quantiles/straggler ratio describe the real scheduling units) and
+  /// StageReport.morsels counts them. Morsel stages never speculate.
   template <typename T>
   [[nodiscard]] Result<std::vector<T>> RunMorsels(
       const std::string& stage_name, size_t num_tasks,
@@ -145,280 +147,94 @@ class StageExecutor {
       const std::function<T(size_t, size_t, size_t, TaskContext&)>& body,
       const std::function<T(size_t, std::vector<T>&&)>& merge) const {
     const size_t morsel_rows = ctx_->morsel_rows();
-    if (morsel_rows == 0) {
-      return Execute<T>(
-          stage_name, num_tasks,
-          [&](size_t t, TaskContext& tc) {
-            std::vector<T> piece;
-            piece.push_back(body(t, 0, task_units(t), tc));
-            return merge(t, std::move(piece));
-          },
-          /*allow_speculation=*/true);
-    }
-
-    Metrics& metrics = ctx_->metrics();
-    TraceRecorder& trace = TraceRecorder::Instance();
-    std::optional<ScopedSpan> stage_span;
-    if (trace.enabled()) stage_span.emplace(stage_name, "stage");
-    const size_t handle = metrics.BeginStage(stage_name, num_tasks);
-    // Resource accounting brackets the stage: RSS and steal-counter deltas
-    // between here and FinishStage land in the StageReport.
-    StageResourceProbe resource_probe;
-    const ActivityDesc* activity =
-        Profiler::Instance().Intern(stage_name, "morsel");
-    Stopwatch wall;
-    std::vector<T> out(num_tasks);
-
-    // Static split: the morsel list is fixed up front so every morsel has
-    // a stable global index — the coordinate used for fault-injection
-    // sites, worker-slot accounting and trace lanes, independent of which
-    // thread happens to run it.
-    struct MorselDef {
-      uint32_t task;
-      uint32_t piece;
-      size_t begin;
-      size_t end;
-    };
-    std::vector<MorselDef> defs;
-    std::vector<std::vector<T>> pieces(num_tasks);
+    std::vector<WorkItem> items;
+    // first[t] is task t's first item; its items end where task t+1's begin.
+    std::vector<size_t> first(num_tasks + 1, 0);
     for (size_t t = 0; t < num_tasks; ++t) {
       const size_t units = task_units(t);
-      const size_t num_pieces = (units + morsel_rows - 1) / morsel_rows;
-      pieces[t].resize(num_pieces);
-      for (size_t p = 0; p < num_pieces; ++p) {
+      // ceil(units / morsel_rows), without wrapping for huge morsel sizes.
+      const size_t pieces = units == 0 ? 0 : (units - 1) / morsel_rows + 1;
+      for (size_t p = 0; p < pieces; ++p) {
         const size_t begin = p * morsel_rows;
-        defs.push_back(MorselDef{static_cast<uint32_t>(t),
-                                 static_cast<uint32_t>(p), begin,
-                                 std::min(units, begin + morsel_rows)});
+        items.push_back(WorkItem{t, p, begin,
+                                 begin + std::min(morsel_rows, units - begin)});
       }
+      first[t + 1] = items.size();
     }
-    const size_t total = defs.size();
-
-    struct Shared {
-      explicit Shared(int64_t budget) : retry_budget(budget) {}
-      std::atomic<size_t> done{0};
-      std::atomic<bool> failed{false};
-      std::atomic<int64_t> retry_budget;
-      std::atomic<uint64_t> retries{0};
-      std::atomic<uint64_t> failed_attempts{0};
-      std::mutex mu;
-      Status status = Status::OK();  // first failure (mu)
-    };
-    const FaultPolicy policy = ctx_->fault_policy();
-    auto shared = std::make_shared<Shared>(
-        static_cast<int64_t>(policy.stage_retry_budget));
-
-    struct Engine {
-      Shared& sh;
-      const std::string& stage_name;
-      const std::vector<MorselDef>& defs;
-      std::vector<std::vector<T>>& pieces;
-      const std::function<T(size_t, size_t, size_t, TaskContext&)>& body;
-      Metrics& metrics;
-      size_t handle;
-      size_t workers;
-      uint64_t stage_span_id;
-      Histogram& task_seconds_hist;
-      const FaultPolicy& policy;
-      size_t max_attempts;
-      FaultInjector& injector;
-      const ActivityDesc* activity;
-
-      void Fail(Status st) {
-        std::lock_guard<std::mutex> lock(sh.mu);
-        if (!sh.failed.load(std::memory_order_relaxed)) {
-          sh.status = std::move(st);
-          sh.failed.store(true, std::memory_order_release);
-        }
-      }
-
-      /// Executes morsel m to completion (commit, fatal error, or stage
-      /// already failed), with the same retry-with-backoff loop Execute()
-      /// runs per task.
-      void RunMorsel(size_t m) {
-        const MorselDef& def = defs[m];
-        size_t attempt = 0;
-        double backoff_ms = policy.backoff_initial_ms;
-        for (;;) {
-          if (sh.failed.load(std::memory_order_acquire)) return;
-          std::optional<ScopedSpan> span;
-          if (stage_span_id != 0) {
-            span.emplace(stage_name + "#" + std::to_string(def.task) + "." +
-                             std::to_string(def.piece),
-                         "morsel", stage_span_id,
-                         static_cast<int64_t>(m % workers));
-            if (attempt > 0) {
-              span->Annotate("attempt", static_cast<uint64_t>(attempt));
-            }
+    return Execute<T>(
+        stage_name, num_tasks, std::move(items),
+        [&body](const WorkItem& w, TaskContext& tc) {
+          return body(w.task, w.begin, w.end, tc);
+        },
+        Mode::kMorsels, [&](std::vector<T>&& pieces) {
+          std::vector<T> out(num_tasks);
+          for (size_t t = 0; t < num_tasks; ++t) {
+            auto begin = std::make_move_iterator(pieces.begin() + first[t]);
+            auto end = std::make_move_iterator(pieces.begin() + first[t + 1]);
+            out[t] = merge(t, std::vector<T>(begin, end));
           }
-          // Publish what this worker is doing for the sampling profiler;
-          // nested on top of the pool's generic "run" activity.
-          ScopedActivity act(activity, def.begin, def.end);
-          ThreadCpuStopwatch timer;
-          const ThreadAllocCounters alloc_before = ThreadAllocations();
-          TaskContext tc;
-          tc.attempt = attempt;
-          try {
-            // The injection site fires before the body, so a failed
-            // attempt performed no work and the retry starts clean.
-            injector.OnSite(stage_name, m, attempt);
-            T value = body(def.task, def.begin, def.end, tc);
-            const ThreadAllocCounters alloc_after = ThreadAllocations();
-            tc.alloc_bytes = alloc_after.bytes - alloc_before.bytes;
-            tc.allocs = alloc_after.count - alloc_before.count;
-            const double busy = timer.ElapsedSeconds();
-            task_seconds_hist.Observe(busy);
-            metrics.RecordTaskTime(m % workers, busy);
-            pieces[def.task][def.piece] = std::move(value);
-            metrics.AccumulateMorsel(handle, tc, busy);
-            if (span) {
-              span->Annotate("records_in", tc.records_in);
-              span->Annotate("records_out", tc.records_out);
-              span->Annotate("busy_seconds", busy);
-            }
-            return;
-          } catch (const TaskFailure& failure) {
-            metrics.RecordTaskTime(m % workers, timer.ElapsedSeconds());
-            sh.failed_attempts.fetch_add(1, std::memory_order_relaxed);
-            if (span) span->Annotate("failed", std::string(failure.what()));
-            ++attempt;
-            if (attempt >= max_attempts) {
-              Fail(Status::Internal(
-                  "stage '" + stage_name + "': morsel " + std::to_string(m) +
-                  " failed after " + std::to_string(attempt) +
-                  " attempt(s)"));
-              return;
-            }
-            if (sh.retry_budget.fetch_sub(1, std::memory_order_acq_rel) <=
-                0) {
-              Fail(Status::Internal(
-                  "stage '" + stage_name + "': retry budget exhausted (" +
-                  std::to_string(policy.stage_retry_budget) + ")"));
-              return;
-            }
-            sh.retries.fetch_add(1, std::memory_order_relaxed);
-            span.reset();  // the backoff sleep is not part of the attempt
-            SleepForMs(std::min(backoff_ms, policy.backoff_max_ms));
-            backoff_ms *= 2.0;
-          } catch (const std::exception& e) {
-            sh.failed_attempts.fetch_add(1, std::memory_order_relaxed);
-            if (span) span->Annotate("failed", std::string(e.what()));
-            Fail(Status::Internal(
-                "stage '" + stage_name + "' morsel " + std::to_string(m) +
-                " threw non-retryable exception: " + e.what()));
-            return;
-          }
-        }
-      }
-    };
-
-    Engine engine{*shared,
-                  stage_name,
-                  defs,
-                  pieces,
-                  body,
-                  metrics,
-                  handle,
-                  ctx_->num_workers(),
-                  stage_span ? stage_span->id() : 0,
-                  MetricsRegistry::Instance().GetHistogram("stage.task_seconds"),
-                  policy,
-                  std::max<size_t>(1, policy.max_attempts),
-                  FaultInjector::Instance(),
-                  activity};
-
-    // One pool task per morsel: cheap enough at L2-sized granularity, and
-    // it is what lets idle workers steal a skewed partition's tail. The
-    // closure's very last action is the `done` increment, and the driver
-    // cannot leave this frame before done == total, so dereferencing the
-    // stack-held engine inside the closure is safe.
-    Engine* engine_ptr = &engine;
-    for (size_t m = 0; m < total; ++m) {
-      ctx_->pool().Submit([shared, engine_ptr, m]() {
-        engine_ptr->RunMorsel(m);
-        shared->done.fetch_add(1, std::memory_order_release);
-      });
-    }
-    // The driver participates by draining the pool (its own morsels or,
-    // when nested, whatever else is queued ahead of them).
-    while (shared->done.load(std::memory_order_acquire) < total) {
-      if (!ctx_->pool().TryRunOneTask()) std::this_thread::yield();
-    }
-
-    const uint64_t retries = shared->retries.load(std::memory_order_relaxed);
-    const uint64_t failed_attempts =
-        shared->failed_attempts.load(std::memory_order_relaxed);
-    metrics.RecordStageRecovery(handle, retries, failed_attempts, 0, 0);
-
-    if (!shared->failed.load(std::memory_order_acquire)) {
-      // Deterministic commit: partials fold in (task, unit-range) order on
-      // the driver, so the output is independent of execution interleaving.
-      for (size_t t = 0; t < num_tasks; ++t) {
-        out[t] = merge(t, std::move(pieces[t]));
-      }
-    }
-
-    metrics.RecordStageResources(handle, resource_probe.RssDeltaBytes(),
-                                 resource_probe.StealsDelta());
-    metrics.FinishStage(handle, wall.ElapsedSeconds());
-    StageReport final_report = metrics.StageReportFor(handle);
-    if (stage_span) AnnotateFromReport(*stage_span, final_report);
-    MetricsRegistry& registry = MetricsRegistry::Instance();
-    registry.GetCounter("stage.morsels").Add(total);
-    if (final_report.alloc_bytes > 0) {
-      registry.GetCounter("stage.alloc_bytes").Add(final_report.alloc_bytes);
-    }
-    if (retries > 0) registry.GetCounter("stage.retries").Add(retries);
-    if (failed_attempts > 0) {
-      registry.GetCounter("stage.failed_attempts").Add(failed_attempts);
-    }
-    if (LogEnabled(LogLevel::kDebug)) {
-      BD_LOG(Debug) << "stage end: " << stage_name << " morsels=" << total
-                    << " wall=" << wall.ElapsedSeconds()
-                    << "s retries=" << retries;
-    }
-    if (shared->failed.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(shared->mu);
-      BD_LOG(Warning) << "stage failed: " << stage_name << " — "
-                      << shared->status.ToString();
-      return shared->status;
-    }
-    return out;
+          return out;
+        });
   }
 
  private:
-  /// Scheduling engine shared by Run and RunProducing. Claims task indices
-  /// with an atomic counter (the driver participates alongside pool
-  /// helpers, so nested stages cannot deadlock a busy pool), runs the
-  /// retry loop per task, then the driver monitors for stragglers until
-  /// every task has settled and no attempt is still in flight.
+  /// One scheduled unit of a stage: units [begin, end) of task `task`, its
+  /// `piece`-th morsel. Whole-task items are piece 0 with an empty range.
+  struct WorkItem {
+    size_t task;
+    size_t piece;
+    size_t begin;
+    size_t end;
+  };
+
+  /// kInPlace (Run) and kProducing (RunProducing) run one item per task;
+  /// only kProducing may speculate. kMorsels (RunMorsels) runs split items.
+  enum class Mode { kInPlace, kProducing, kMorsels };
+
+  static std::vector<WorkItem> WholeTasks(size_t num_tasks) {
+    std::vector<WorkItem> items(num_tasks);
+    for (size_t t = 0; t < num_tasks; ++t) items[t] = WorkItem{t, 0, 0, 0};
+    return items;
+  }
+
+  /// The engine. Claims item indices with an atomic counter (the driver
+  /// participates alongside pool helpers, so nested stages cannot deadlock
+  /// a busy pool), runs the retry loop per item and commits each item's
+  /// value into its slot; the driver then monitors for stragglers until
+  /// every item has settled and no attempt is still in flight. On success
+  /// the per-item values pass through `fold` (when set) on the driver,
+  /// inside the stage's bracket, into the per-task result.
   template <typename T>
-  Result<std::vector<T>> Execute(const std::string& stage_name,
-                                 size_t num_tasks,
-                                 const std::function<T(size_t, TaskContext&)>& body,
-                                 bool allow_speculation) const {
+  Result<std::vector<T>> Execute(
+      const std::string& stage_name, size_t num_tasks,
+      std::vector<WorkItem> items,
+      const std::function<T(const WorkItem&, TaskContext&)>& body, Mode mode,
+      const std::function<std::vector<T>(std::vector<T>&&)>& fold) const {
     Metrics& metrics = ctx_->metrics();
     TraceRecorder& trace = TraceRecorder::Instance();
     std::optional<ScopedSpan> stage_span;
     if (trace.enabled()) stage_span.emplace(stage_name, "stage");
     if (LogEnabled(LogLevel::kDebug)) {
       BD_LOG(Debug) << "stage begin: " << stage_name
-                    << " tasks=" << num_tasks;
+                    << " tasks=" << num_tasks << " items=" << items.size();
     }
     const size_t handle = metrics.BeginStage(stage_name, num_tasks);
     // Resource accounting brackets the stage: RSS and steal-counter deltas
     // between here and FinishStage land in the StageReport.
     StageResourceProbe resource_probe;
+    const bool split = mode == Mode::kMorsels;
+    const char* kind = split ? "morsel" : "task";
     const ActivityDesc* activity =
-        Profiler::Instance().Intern(stage_name, "task");
+        Profiler::Instance().Intern(stage_name, kind);
     Stopwatch wall;
-    std::vector<T> out(num_tasks);
+    const size_t total = items.size();
+    std::vector<T> out(total);
 
     // Heap-held shared state: a pool helper that wakes up after the stage
     // already finished must be able to observe "nothing left to claim"
     // without touching driver-stack memory, so its closure captures this
     // by shared_ptr and dereferences the stack-held Engine only after a
-    // successful claim (an unclaimed task pins the driver in Execute).
+    // successful claim (an unclaimed item pins the driver in Execute).
     struct Shared {
       explicit Shared(size_t n, int64_t budget)
           : retry_budget(budget),
@@ -438,27 +254,32 @@ class StageExecutor {
       std::atomic<uint64_t> spec_launched{0};
       std::atomic<uint64_t> spec_committed{0};
       std::vector<std::atomic<uint8_t>> committed;     // attempt won the race
-      std::vector<std::atomic<uint8_t>> settled_flag;  // task is accounted for
+      std::vector<std::atomic<uint8_t>> settled_flag;  // item is accounted for
       std::vector<std::atomic<uint8_t>> spec_state;    // duplicate launched
       std::vector<std::atomic<double>> started_at;     // -1 until claimed
       std::mutex mu;
       Status status = Status::OK();          // first failure (mu)
-      std::vector<double> committed_wall;    // per-task wall durations (mu)
+      std::vector<double> committed_wall;    // per-item wall durations (mu)
     };
 
     const FaultPolicy policy = ctx_->fault_policy();
     auto shared = std::make_shared<Shared>(
-        num_tasks, static_cast<int64_t>(policy.stage_retry_budget));
+        total, static_cast<int64_t>(policy.stage_retry_budget));
+    const bool speculate =
+        mode == Mode::kProducing && policy.speculation && total >= 2;
 
     struct Engine {
       Shared& sh;
       const std::string& stage_name;
-      size_t num_tasks;
-      const std::function<T(size_t, TaskContext&)>& body;
+      const std::vector<WorkItem>& items;
+      const std::function<T(const WorkItem&, TaskContext&)>& body;
       std::vector<T>& out;
       Metrics& metrics;
       size_t handle;
       size_t workers;
+      bool split;
+      bool speculate;
+      const char* kind;
       uint64_t stage_span_id;
       Histogram& task_seconds_hist;
       const FaultPolicy& policy;
@@ -475,30 +296,35 @@ class StageExecutor {
         }
       }
 
-      /// Marks task t as accounted for exactly once (whether it committed
+      /// Marks item i as accounted for exactly once (whether it committed
       /// a result or the stage gave up on it).
-      void Settle(size_t t) {
+      void Settle(size_t i) {
         uint8_t expected = 0;
-        if (sh.settled_flag[t].compare_exchange_strong(expected, 1)) {
+        if (sh.settled_flag[i].compare_exchange_strong(expected, 1)) {
           sh.settled.fetch_add(1, std::memory_order_acq_rel);
         }
       }
 
       enum Outcome { kCommitted, kLost, kRetryable, kFatal };
 
-      Outcome AttemptOnce(size_t t, size_t attempt, bool speculative) {
-        std::optional<ScopedSpan> task_span;
+      Outcome AttemptOnce(size_t i, size_t attempt, bool speculative) {
+        const WorkItem& w = items[i];
+        std::optional<ScopedSpan> span;
         if (stage_span_id != 0) {
-          task_span.emplace(stage_name + "#" + std::to_string(t), "task",
-                            stage_span_id, static_cast<int64_t>(t % workers));
+          std::string name = stage_name + "#" + std::to_string(w.task);
+          if (split) name += "." + std::to_string(w.piece);
+          span.emplace(std::move(name), kind, stage_span_id,
+                       static_cast<int64_t>(i % workers));
           if (attempt > 0) {
-            task_span->Annotate("attempt", static_cast<uint64_t>(attempt));
+            span->Annotate("attempt", static_cast<uint64_t>(attempt));
           }
-          if (speculative) task_span->Annotate("speculative", uint64_t{1});
+          if (speculative) span->Annotate("speculative", uint64_t{1});
         }
         // Publish what this worker is doing for the sampling profiler;
-        // nested on top of the pool's generic "run" activity.
-        ScopedActivity act(activity, t, t + 1);
+        // nested on top of the pool's generic "run" activity. A morsel
+        // shows its unit range, a whole task its index.
+        ScopedActivity act(activity, split ? w.begin : w.task,
+                           split ? w.end : w.task + 1);
         ThreadCpuStopwatch timer;
         const ThreadAllocCounters alloc_before = ThreadAllocations();
         TaskContext tc;
@@ -507,8 +333,8 @@ class StageExecutor {
         try {
           // The injection site fires before the body, so a failed attempt
           // has performed no work and a retry starts from a clean slate.
-          injector.OnSite(stage_name, t, attempt);
-          T value = body(t, tc);
+          injector.OnSite(stage_name, i, attempt);
+          T value = body(w, tc);
           const ThreadAllocCounters alloc_after = ThreadAllocations();
           tc.alloc_bytes = alloc_after.bytes - alloc_before.bytes;
           tc.allocs = alloc_after.count - alloc_before.count;
@@ -518,81 +344,80 @@ class StageExecutor {
           task_seconds_hist.Observe(busy);
           // Losers still burned a worker: their time counts toward the
           // simulated cluster wall, just never into the stage's records.
-          metrics.RecordTaskTime(t % workers, busy);
+          metrics.RecordTaskTime(i % workers, busy);
           uint8_t expected = 0;
-          if (!sh.committed[t].compare_exchange_strong(expected, 1)) {
-            if (task_span) task_span->Annotate("discarded", uint64_t{1});
+          if (!sh.committed[i].compare_exchange_strong(expected, 1)) {
+            if (span) span->Annotate("discarded", uint64_t{1});
             return kLost;
           }
-          out[t] = std::move(value);
-          metrics.AccumulateTask(handle, tc, busy);
+          out[i] = std::move(value);
+          metrics.AccumulateTask(handle, tc, busy, split);
           if (speculative) {
             sh.spec_committed.fetch_add(1, std::memory_order_relaxed);
           }
-          {
+          if (speculate) {
             std::lock_guard<std::mutex> lock(sh.mu);
             const double started =
-                sh.started_at[t].load(std::memory_order_relaxed);
+                sh.started_at[i].load(std::memory_order_relaxed);
             if (started >= 0.0) {
               sh.committed_wall.push_back(wall.ElapsedSeconds() - started);
             }
           }
-          if (task_span) {
-            task_span->Annotate("records_in", tc.records_in);
-            task_span->Annotate("records_out", tc.records_out);
-            task_span->Annotate("busy_seconds", busy);
+          if (span) {
+            span->Annotate("records_in", tc.records_in);
+            span->Annotate("records_out", tc.records_out);
+            span->Annotate("busy_seconds", busy);
           }
-          Settle(t);
+          Settle(i);
           return kCommitted;
         } catch (const TaskFailure& failure) {
-          const double busy = timer.ElapsedSeconds();
-          metrics.RecordTaskTime(t % workers, busy);
+          metrics.RecordTaskTime(i % workers, timer.ElapsedSeconds());
           sh.failed_attempts.fetch_add(1, std::memory_order_relaxed);
-          if (task_span) {
-            task_span->Annotate("failed", std::string(failure.what()));
-          }
+          if (span) span->Annotate("failed", std::string(failure.what()));
           return kRetryable;
         } catch (const std::exception& e) {
           sh.failed_attempts.fetch_add(1, std::memory_order_relaxed);
-          if (task_span) task_span->Annotate("failed", std::string(e.what()));
-          Fail(Status::Internal("stage '" + stage_name + "' task " +
-                                std::to_string(t) +
+          if (span) span->Annotate("failed", std::string(e.what()));
+          Fail(Status::Internal("stage '" + stage_name + "' " + kind + " " +
+                                std::to_string(i) +
                                 " threw non-retryable exception: " + e.what()));
           return kFatal;
         }
       }
 
-      /// First (non-speculative) execution of task t: retry loop with
+      /// First (non-speculative) execution of item i: retry loop with
       /// capped exponential backoff under the stage's FaultPolicy.
-      void RunPrimary(size_t t) {
-        sh.started_at[t].store(wall.ElapsedSeconds(),
-                               std::memory_order_relaxed);
+      void RunPrimary(size_t i) {
+        if (speculate) {
+          sh.started_at[i].store(wall.ElapsedSeconds(),
+                                 std::memory_order_relaxed);
+        }
         size_t attempt = 0;
         double backoff_ms = policy.backoff_initial_ms;
         for (;;) {
           if (sh.failed.load(std::memory_order_acquire)) {
-            Settle(t);
+            Settle(i);
             return;
           }
-          const Outcome outcome = AttemptOnce(t, attempt, false);
+          const Outcome outcome = AttemptOnce(i, attempt, false);
           if (outcome == kCommitted || outcome == kLost) return;
           if (outcome == kFatal) {
-            Settle(t);
+            Settle(i);
             return;
           }
           ++attempt;
           if (attempt >= max_attempts) {
-            Fail(Status::Internal(
-                "stage '" + stage_name + "': task " + std::to_string(t) +
-                " failed after " + std::to_string(attempt) + " attempt(s)"));
-            Settle(t);
+            Fail(Status::Internal("stage '" + stage_name + "': " + kind +
+                                  " " + std::to_string(i) + " failed after " +
+                                  std::to_string(attempt) + " attempt(s)"));
+            Settle(i);
             return;
           }
           if (sh.retry_budget.fetch_sub(1, std::memory_order_acq_rel) <= 0) {
             Fail(Status::Internal(
                 "stage '" + stage_name + "': retry budget exhausted (" +
                 std::to_string(policy.stage_retry_budget) + ")"));
-            Settle(t);
+            Settle(i);
             return;
           }
           sh.retries.fetch_add(1, std::memory_order_relaxed);
@@ -601,7 +426,7 @@ class StageExecutor {
         }
       }
 
-      /// Driver-side straggler monitor pass: duplicates at most one task
+      /// Driver-side straggler monitor pass: duplicates at most one item
       /// whose elapsed wall time exceeds the speculation threshold. The
       /// duplicate runs inline on the driver — submitting it to the pool
       /// could queue it behind the very straggler it is meant to bypass.
@@ -609,7 +434,8 @@ class StageExecutor {
         double median = 0.0;
         {
           std::lock_guard<std::mutex> lock(sh.mu);
-          if (sh.committed_wall.size() < std::max<size_t>(2, num_tasks / 2)) {
+          if (sh.committed_wall.size() <
+              std::max<size_t>(2, items.size() / 2)) {
             return;
           }
           std::vector<double> sorted = sh.committed_wall;
@@ -620,20 +446,20 @@ class StageExecutor {
         const double threshold =
             std::max(policy.speculation_min_seconds,
                      policy.speculation_multiplier * median);
-        for (size_t t = 0; t < num_tasks; ++t) {
-          if (sh.settled_flag[t].load(std::memory_order_acquire) != 0) continue;
-          if (sh.committed[t].load(std::memory_order_acquire) != 0) continue;
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (sh.settled_flag[i].load(std::memory_order_acquire) != 0) continue;
+          if (sh.committed[i].load(std::memory_order_acquire) != 0) continue;
           const double started =
-              sh.started_at[t].load(std::memory_order_relaxed);
+              sh.started_at[i].load(std::memory_order_relaxed);
           if (started < 0.0) continue;  // not yet claimed
           if (now - started < threshold) continue;
           uint8_t expected = 0;
-          if (!sh.spec_state[t].compare_exchange_strong(expected, 1)) continue;
+          if (!sh.spec_state[i].compare_exchange_strong(expected, 1)) continue;
           sh.spec_launched.fetch_add(1, std::memory_order_relaxed);
           sh.inflight.fetch_add(1, std::memory_order_acq_rel);
           // The duplicate gets an attempt number past the retry range so
           // its injector draws are independent of the primary's.
-          AttemptOnce(t, max_attempts, true);
+          AttemptOnce(i, max_attempts, true);
           sh.inflight.fetch_sub(1, std::memory_order_acq_rel);
           return;
         }
@@ -642,12 +468,15 @@ class StageExecutor {
 
     Engine engine{*shared,
                   stage_name,
-                  num_tasks,
+                  items,
                   body,
                   out,
                   metrics,
                   handle,
                   ctx_->num_workers(),
+                  split,
+                  speculate,
+                  kind,
                   stage_span ? stage_span->id() : 0,
                   MetricsRegistry::Instance().GetHistogram("stage.task_seconds"),
                   policy,
@@ -656,36 +485,30 @@ class StageExecutor {
                   wall,
                   activity};
 
-    // Pool helpers claim tasks exactly like the driver. A helper touches
+    // Pool helpers claim items exactly like the driver. A helper touches
     // only `shared` until a claim succeeds; a successful claim proves the
-    // driver is still inside Execute (an unclaimed task cannot settle), so
-    // dereferencing `engine` is safe from then on.
+    // driver is still inside Execute (an unclaimed item cannot settle), so
+    // dereferencing `engine` is safe from then on. At most pool-width
+    // helpers are submitted, however many items the stage has.
     Engine* engine_ptr = &engine;
+    auto drain = [total](Shared& sh, Engine* e) {
+      for (;;) {
+        const size_t i = sh.next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= total) return;
+        sh.inflight.fetch_add(1, std::memory_order_acq_rel);
+        e->RunPrimary(i);
+        sh.inflight.fetch_sub(1, std::memory_order_acq_rel);
+      }
+    };
     const size_t helper_count =
-        num_tasks == 0 ? 0 : std::min(ctx_->pool().num_threads(), num_tasks - 1);
+        total == 0 ? 0 : std::min(ctx_->pool().num_threads(), total - 1);
     for (size_t h = 0; h < helper_count; ++h) {
-      ctx_->pool().Submit([shared, engine_ptr, num_tasks]() {
-        for (;;) {
-          const size_t t =
-              shared->next.fetch_add(1, std::memory_order_relaxed);
-          if (t >= num_tasks) return;
-          shared->inflight.fetch_add(1, std::memory_order_acq_rel);
-          engine_ptr->RunPrimary(t);
-          shared->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        }
-      });
+      ctx_->pool().Submit(
+          [shared, engine_ptr, drain]() { drain(*shared, engine_ptr); });
     }
     // Driver participates in the claim loop, then monitors stragglers.
-    for (;;) {
-      const size_t t = shared->next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= num_tasks) break;
-      shared->inflight.fetch_add(1, std::memory_order_acq_rel);
-      engine.RunPrimary(t);
-      shared->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    const bool speculate =
-        allow_speculation && policy.speculation && num_tasks >= 2;
-    while (shared->settled.load(std::memory_order_acquire) < num_tasks ||
+    drain(*shared, engine_ptr);
+    while (shared->settled.load(std::memory_order_acquire) < total ||
            shared->inflight.load(std::memory_order_acquire) > 0) {
       if (speculate && !shared->failed.load(std::memory_order_relaxed)) {
         engine.TrySpeculate();
@@ -706,12 +529,17 @@ class StageExecutor {
         shared->spec_committed.load(std::memory_order_relaxed);
     metrics.RecordStageRecovery(handle, retries, failed_attempts,
                                 spec_launched, spec_committed);
+    const bool failed = shared->failed.load(std::memory_order_acquire);
+    // Deterministic commit: item values fold in item order on the driver,
+    // so the output is independent of execution interleaving.
+    if (!failed && fold) out = fold(std::move(out));
     metrics.RecordStageResources(handle, resource_probe.RssDeltaBytes(),
                                  resource_probe.StealsDelta());
     metrics.FinishStage(handle, wall.ElapsedSeconds());
     StageReport final_report = metrics.StageReportFor(handle);
     if (stage_span) AnnotateFromReport(*stage_span, final_report);
     MetricsRegistry& registry = MetricsRegistry::Instance();
+    if (split) registry.GetCounter("stage.morsels").Add(total);
     if (final_report.alloc_bytes > 0) {
       registry.GetCounter("stage.alloc_bytes").Add(final_report.alloc_bytes);
     }
@@ -730,7 +558,7 @@ class StageExecutor {
                     << " wall=" << wall.ElapsedSeconds()
                     << "s retries=" << retries;
     }
-    if (shared->failed.load(std::memory_order_acquire)) {
+    if (failed) {
       std::lock_guard<std::mutex> lock(shared->mu);
       BD_LOG(Warning) << "stage failed: " << stage_name << " — "
                       << shared->status.ToString();

@@ -131,6 +131,28 @@ TEST(Csv, WriteRoundTrip) {
   EXPECT_EQ(*t, *t2);
 }
 
+TEST(Csv, WriteRoundTripKeepsEveryDoubleDigit) {
+  // Doubles are written in their shortest round-trip form, so a write
+  // followed by a read restores every cell exactly.
+  auto t = ReadCsvString(
+      "x,y\n0.1234567,1e-300\n0.30000000000000004,-2.5\n"
+      "1.7976931348623157e+308,9007199254740994\n",
+      CsvOptions{});
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(t->row(0).value(0).is_double());
+  const std::string text = WriteCsvString(*t, CsvOptions{});
+  EXPECT_NE(text.find("0.1234567,1e-300"), std::string::npos) << text;
+  auto t2 = ReadCsvString(text, CsvOptions{});
+  ASSERT_TRUE(t2.ok());
+  EXPECT_EQ(*t, *t2);
+  for (size_t r = 0; r < t->num_rows(); ++r) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(t2->row(r).value(c).AsNumber(), t->row(r).value(c).AsNumber())
+          << text;
+    }
+  }
+}
+
 TEST(Csv, FileRoundTrip) {
   auto t = ReadCsvString("a,b\n1,x\n", CsvOptions{});
   ASSERT_TRUE(t.ok());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <numeric>
@@ -401,11 +403,12 @@ uint64_t BurnHash(uint64_t x) {
 }
 
 TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
-  // One partition 100x the size of the others. At partition granularity the
-  // big partition is one task and dominates the stage (straggler ratio =
-  // max/mean task time well above the even-split value); at morsel
-  // granularity the same rows become many same-sized work units and the
-  // quantile spread collapses. Outputs must match bit-for-bit either way.
+  // One partition 100x the size of the others. With one morsel per task
+  // (a morsel size past the largest partition) the big partition is one
+  // work item and dominates the stage (straggler ratio = max/mean item
+  // time well above the even-split value); at a small morsel size the
+  // same rows become many same-sized work units and the quantile spread
+  // collapses. Outputs must match bit-for-bit either way.
   std::vector<std::vector<uint64_t>> parts(9);
   uint64_t next = 0;
   for (size_t p = 0; p < parts.size(); ++p) {
@@ -427,16 +430,16 @@ TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
   };
 
   StageReport partition_report;
-  std::vector<uint64_t> partition_out = run(0, &partition_report);
+  std::vector<uint64_t> partition_out = run(SIZE_MAX, &partition_report);
   StageReport morsel_report;
   std::vector<uint64_t> morsel_out = run(100, &morsel_report);
 
   EXPECT_EQ(partition_out, morsel_out);
 
-  // Partition path: 9 tasks, no morsels; the 10000-row task dominates
+  // One morsel per task: 9 tasks, 9 items; the 10000-row task dominates
   // (ideal ratio 10000 / (10800/9) = 8.3).
   EXPECT_EQ(partition_report.tasks, 9u);
-  EXPECT_EQ(partition_report.morsels, 0u);
+  EXPECT_EQ(partition_report.morsels, 9u);
   EXPECT_GT(partition_report.StragglerRatio(), 3.0);
 
   // Morsel path: 100-row units, so the heavy partition becomes 100 units
@@ -483,7 +486,7 @@ TEST(MorselScheduling, SkewedPartitionStopsDominatingUnderMorsels) {
 
 TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {
   // Fused Map/Filter/FlatMap chains and shuffles must produce identical
-  // results with morsels on and off.
+  // results with small morsels and with one morsel per task.
   auto build = [](ExecutionContext* ctx) {
     auto ds = Dataset<int>::FromVector(ctx, Range(5000), 7);
     return ds.Map([](const int& x) { return x * 3 - 1; })
@@ -497,7 +500,7 @@ TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {
   ExecutionContext ctx_morsel(4);
   ctx_morsel.set_morsel_rows(64);
   ExecutionContext ctx_partition(4);
-  ctx_partition.set_morsel_rows(0);
+  ctx_partition.set_morsel_rows(SIZE_MAX);
   auto morsel = build(&ctx_morsel);
   auto partition = build(&ctx_partition);
   EXPECT_EQ(morsel.partitions(), partition.partitions());
@@ -507,8 +510,46 @@ TEST(MorselScheduling, MorselPathMatchesPartitionPathOnChains) {
            })).Collect();
   };
   EXPECT_EQ(keyed(morsel), keyed(partition));
-  EXPECT_GT(ctx_morsel.metrics().morsels(), 0u);
-  EXPECT_EQ(ctx_partition.metrics().morsels(), 0u);
+  EXPECT_GT(ctx_morsel.metrics().morsels(),
+            ctx_partition.metrics().morsels());
+  // A morsel size past every partition runs each task as at most one item.
+  for (const StageReport& r : ctx_partition.metrics().StageReports()) {
+    EXPECT_LE(r.morsels, r.tasks) << r.name;
+  }
+}
+
+TEST(MorselScheduling, HugeMorselSizeRunsEachTaskAsOneMorsel) {
+  // The morsel count of a task is ceil(units / morsel_rows); computing it as
+  // (units + morsel_rows - 1) / morsel_rows wraps to 0 at SIZE_MAX and
+  // silently drops every row.
+  ExecutionContext ctx(2);
+  ctx.set_morsel_rows(SIZE_MAX);
+  auto out = Dataset<int>::FromVector(&ctx, Range(7), 3)
+                 .Map([](const int& x) { return x + 1; })
+                 .Collect();
+  EXPECT_EQ(out, std::vector<int>({1, 2, 3, 4, 5, 6, 7}));
+  const auto reports = ctx.metrics().StageReports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].morsels, 3u);
+}
+
+TEST(MorselScheduling, MorselRowsEnvAcceptsOnlyCountsOfAtLeastOne) {
+  // 0 no longer selects a separate engine; it falls back to the default
+  // like any other value that is not a row count.
+  const char* saved = std::getenv("BD_MORSEL_ROWS");
+  const std::string saved_value = saved ? saved : "";
+  const std::vector<std::pair<std::string, size_t>> cases = {
+      {"64", 64}, {"1", 1}, {"0", 2048}, {"-3", 2048}, {"12ab", 2048},
+      {"", 2048}};
+  for (const auto& [text, want] : cases) {
+    setenv("BD_MORSEL_ROWS", text.c_str(), 1);
+    EXPECT_EQ(ExecutionContext::DefaultMorselRows(), want) << text;
+  }
+  if (saved) {
+    setenv("BD_MORSEL_ROWS", saved_value.c_str(), 1);
+  } else {
+    unsetenv("BD_MORSEL_ROWS");
+  }
 }
 
 TEST(DatasetFusion, RepartitionMatchesDriverSideRoundRobin) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
@@ -181,7 +182,9 @@ TEST(DetectOracle, FullIncrementalAndStorageMatchBruteForce) {
     Random rng(seed);
     const Table table = RandomTable(rng, 10 + rng.NextBounded(110));
     const size_t workers = 1 + rng.NextBounded(4);
-    const size_t morsel = rng.NextBool(0.3) ? 0 : 1 + rng.NextBounded(50);
+    // SIZE_MAX runs every task as one morsel.
+    const size_t morsel =
+        rng.NextBool(0.3) ? SIZE_MAX : 1 + rng.NextBounded(50);
     SCOPED_TRACE("seed " + std::to_string(seed) + " rows " +
                  std::to_string(table.num_rows()) + " workers " +
                  std::to_string(workers) + " morsel " + std::to_string(morsel));

@@ -260,6 +260,54 @@ TEST(Speculation, DuplicateAttemptsNeverDoubleCount) {
   injector.Clear();
 }
 
+TEST(FaultRetry, OneUnitMorselsRetryLikeWholeTasks) {
+  // A morsel stage whose tasks hold one unit each runs one item per task,
+  // so its fault sites (stage name x item index x attempt) are exactly the
+  // producing stage's: under one seeded throw schedule both stages must
+  // fail, retry and commit the same attempts.
+  InjectorGuard guard;
+  FaultInjector& injector = FaultInjector::Instance();
+  ASSERT_TRUE(injector.Configure("stage=parity,kind=throw,prob=0.3", 77).ok());
+  ExecutionContext ctx(4);
+  FaultPolicy policy;
+  policy.max_attempts = 10;
+  policy.stage_retry_budget = 256;
+  policy.speculation = false;
+  ScopedFaultPolicy scoped(&ctx, policy);
+  const size_t n = 32;
+  auto value_of = [](size_t t, TaskContext& tc) {
+    tc.records_in = t + 1;
+    tc.records_out = 1;
+    return static_cast<uint64_t>(t * t + 1);
+  };
+  StageExecutor exec(&ctx);
+  auto whole = exec.RunProducing<uint64_t>("parity", n, value_of);
+  auto morsels = exec.RunMorsels<uint64_t>(
+      "parity", n, [](size_t) { return size_t{1}; },
+      [&](size_t t, size_t, size_t, TaskContext& tc) {
+        return value_of(t, tc);
+      },
+      [](size_t, std::vector<uint64_t>&& pieces) { return pieces.at(0); });
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_TRUE(morsels.ok()) << morsels.status().ToString();
+  EXPECT_EQ(*morsels, *whole);
+
+  const std::vector<StageReport> reports = ctx.metrics().StageReports();
+  ASSERT_EQ(reports.size(), 2u);
+  const StageReport& w = reports[0];
+  const StageReport& m = reports[1];
+  EXPECT_GT(w.retries, 0u) << "the schedule injected nothing";
+  EXPECT_EQ(m.retries, w.retries);
+  EXPECT_EQ(m.failed_attempts, w.failed_attempts);
+  EXPECT_EQ(m.tasks, w.tasks);
+  EXPECT_EQ(m.records_in, w.records_in);
+  EXPECT_EQ(m.records_out, w.records_out);
+  EXPECT_EQ(m.task_seconds.size(), w.task_seconds.size());
+  EXPECT_EQ(w.morsels, 0u);
+  EXPECT_EQ(m.morsels, n);
+  injector.Clear();
+}
+
 TEST(UnifiedDetect, RejectsMalformedRequests) {
   ExecutionContext ctx(2);
   RuleEngine engine(&ctx);

@@ -91,7 +91,6 @@ TEST(ObsDispatchTest, MetricsEndpointPassesPrometheusLint) {
 
 TEST(ObsDispatchTest, StagesEndpointReconcilesWithFinishedRun) {
   ExecutionContext ctx(2);
-  ctx.set_morsel_rows(0);
   StageExecutor exec(&ctx);
   ASSERT_TRUE(exec.Run("obs-reconcile-stage", 4,
                        [](size_t t, TaskContext& tc) {
@@ -133,7 +132,6 @@ TEST(ObsDispatchTest, StagesEndpointReconcilesWithFinishedRun) {
 
 TEST(ObsDispatchTest, StagesEndpointShowsInFlightStage) {
   ExecutionContext ctx(2);
-  ctx.set_morsel_rows(0);
 
   std::mutex mu;
   std::condition_variable cv;
@@ -535,7 +533,6 @@ TEST(ResourceAccountingTest, RssIsReadableOnLinux) {
 
 TEST(ResourceAccountingTest, StageReportCarriesAllocAndRss) {
   ExecutionContext ctx(2);
-  ctx.set_morsel_rows(0);
   StageExecutor exec(&ctx);
   ASSERT_TRUE(exec.Run("obs-alloc-stage", 2,
                        [](size_t t, TaskContext& tc) {

@@ -383,7 +383,9 @@ TEST(OCJoinDifferential, MatchesValueOracleOnRandomTables) {
     options.order_conditions_by_selectivity = rng.NextBool(0.5);
     const size_t workers = 1 + rng.NextBounded(4);
     ExecutionContext ctx(workers);
-    ctx.set_morsel_rows(rng.NextBool(0.5) ? 0 : 1 + rng.NextBounded(40));
+    // SIZE_MAX runs every task as one morsel.
+    ctx.set_morsel_rows(rng.NextBool(0.5) ? SIZE_MAX
+                                          : 1 + rng.NextBounded(40));
 
     OCJoinStats stats;
     const std::vector<PositionPair> got =

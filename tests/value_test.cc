@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -74,6 +75,54 @@ TEST(Value, ToStringRoundTripsThroughParse) {
        {Value(static_cast<int64_t>(-7)), Value(2.5), Value("hello"),
         Value::Null(), Value(static_cast<int64_t>(0))}) {
     EXPECT_EQ(Value::Parse(v.ToString()), v) << v.ToString();
+  }
+}
+
+TEST(Value, DoubleToStringIsShortestRoundTrip) {
+  EXPECT_EQ(Value(0.1234567).ToString(), "0.1234567");
+  EXPECT_EQ(Value(0.1 + 0.2).ToString(), "0.30000000000000004");
+  EXPECT_EQ(Value(2.5).ToString(), "2.5");
+  // Non-finite values keep their printf text.
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).ToString(), "inf");
+  EXPECT_EQ(Value(-std::numeric_limits<double>::infinity()).ToString(),
+            "-inf");
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).ToString(), "nan");
+}
+
+TEST(Value, SeededDoublesRoundTripThroughParse) {
+  // Every finite double must read back as the same value: random bit
+  // patterns (all exponents, subnormals included) plus the edges — the
+  // extremes of the range, a negative zero, and integral doubles past 2^53
+  // and past int64, whose plain digit form Parse would read as an int or
+  // keep as text.
+  std::vector<double> doubles = {1e-300,
+                                 std::numeric_limits<double>::max(),
+                                 -std::numeric_limits<double>::max(),
+                                 std::numeric_limits<double>::min(),
+                                 std::numeric_limits<double>::denorm_min(),
+                                 -0.0,
+                                 9007199254740994.0,  // 2^53 + 2
+                                 9223372036854775808.0,  // 2^63
+                                 18446744073709551616.0,  // 2^64
+                                 1e20,
+                                 0.1234567};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Random rng(seed);
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t bits = rng.NextUint64();
+      double d;
+      static_assert(sizeof(d) == sizeof(bits));
+      __builtin_memcpy(&d, &bits, sizeof(d));
+      if (std::isfinite(d)) doubles.push_back(d);
+      doubles.push_back(rng.NextDouble() * 1e6 - 5e5);
+    }
+  }
+  for (double d : doubles) {
+    const Value v(d);
+    const Value back = Value::Parse(v.ToString());
+    ASSERT_EQ(back, v) << v.ToString();
+    ASSERT_TRUE(back.is_numeric()) << v.ToString();
+    ASSERT_EQ(back.AsNumber(), d) << v.ToString();
   }
 }
 
